@@ -14,6 +14,7 @@ import numpy as np
 from .core import SamplingScheme, load_dmat, load_matrix_csv, load_vector_csv
 from .errors import FedRKError
 from .experiments import (
+    EXPERIMENTS,
     ExperimentSpec,
     run_convergence_experiment,
     run_lsq_experiment,
@@ -75,7 +76,7 @@ def build_parser():
     client.add_argument("--timeout", type=float, default=30.0)
 
     exp = sub.add_parser("exp", help="run a canned experiment")
-    exp.add_argument("name", choices=["convergence", "sparse", "lsq", "prostate"])
+    exp.add_argument("name", choices=EXPERIMENTS)
     exp.add_argument("--spec", default=None, help="key=value spec file overriding defaults")
     exp.add_argument("--out", required=True, help="output directory for CSVs")
     exp.add_argument("--data", default=None, help="prostate data file path")
@@ -120,18 +121,12 @@ def _cmd_client(args):
 
 
 def _cmd_exp(args):
-    defaults = {
-        "convergence": ExperimentSpec.convergence,
-        "sparse": ExperimentSpec.sparse,
-        "lsq": ExperimentSpec.lsq,
-        "prostate": ExperimentSpec.prostate,
-    }
     if args.spec is not None:
         spec = ExperimentSpec.from_file(args.spec)
         if spec.name != args.name:
             raise ValueError(f"spec file is for {spec.name!r}, not {args.name!r}")
     else:
-        spec = defaults[args.name]()
+        spec = getattr(ExperimentSpec, args.name)()
     if args.name == "convergence":
         result = run_convergence_experiment(spec, out_dir=args.out)
         for tau in spec.tau_list:

@@ -32,6 +32,7 @@ __all__ = [
     "load_vector_csv",
     "save_dmat",
     "load_dmat",
+    "parse_key_values",
 ]
 
 _U64_MAX = 2**64 - 1
@@ -44,7 +45,7 @@ def as_vector(data, name="vector"):
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if v.size < 1:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -62,7 +63,7 @@ def as_matrix(data, name="matrix", allow_empty=False):
         raise ValueError(f"{name} must have at least one row")
     if m.shape[1] < 1:
         raise ValueError(f"{name} must have at least one column")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -243,7 +244,7 @@ def frobenius_norm_sq(matrix):
 
 
 # ---------------------------------------------------------------------------
-# file formats: CSV (one row per line) and raw binary DMAT
+# file formats: CSV (one row per line), raw binary DMAT, key=value text
 # ---------------------------------------------------------------------------
 
 _DMAT_MAGIC = b"DMAT"
@@ -308,3 +309,23 @@ def load_dmat(path):
         raise ValueError(f"{path}: expected {expected} data bytes, got {len(body)}")
     data = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(rows, cols)
     return as_matrix(data, name=str(path))
+
+
+def parse_key_values(text, known, kind="config"):
+    """Parse ``key=value`` lines into a dict, rejecting keys not in ``known``.
+
+    Blank lines and ``#`` comments are skipped.
+    """
+    fields = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad {kind} line {raw!r}")
+        key, value = line.split("=", 1)
+        fields[key.strip()] = value.strip()
+    unknown = set(fields) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
+    return fields

@@ -9,25 +9,19 @@ desk-scale runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import RngStream, as_matrix, as_vector, derive_seed
+from .core import RngStream, as_matrix, derive_seed, parse_key_values
 from .datasets import load_prostate
-from .federation import (
-    RoundStreams,
-    RunConfig,
-    client_blocks,
-    fed_round,
-    fed_run,
-    partition_system,
-)
+from .federation import RunConfig, fed_run, run_rounds
 from .oracles import least_squares_solution
 from .solver import LinearSystem
 
 __all__ = [
+    "EXPERIMENTS",
     "gen_gaussian_system",
     "gen_sparse_instance",
     "augment_columns",
@@ -42,6 +36,8 @@ __all__ = [
     "run_prostate_experiment",
     "rounds_to_threshold",
 ]
+
+EXPERIMENTS = ("convergence", "sparse", "lsq", "prostate")
 
 
 def gen_gaussian_system(m, n, rng):
@@ -163,34 +159,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_text(cls, text):
-        fields = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad spec line {raw!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-        if "name" not in fields:
-            raise ValueError("spec needs a name")
-        base = {
-            "convergence": cls.convergence,
-            "sparse": cls.sparse,
-            "lsq": cls.lsq,
-            "prostate": cls.prostate,
-        }.get(fields.pop("name"))
-        if base is None:
-            raise ValueError("name must be one of convergence, sparse, lsq, prostate")
+        values = parse_key_values(text, [f.name for f in fields(cls)], kind="spec")
+        name = values.pop("name", None)
+        if name not in EXPERIMENTS:
+            raise ValueError(f"spec name must be one of {', '.join(EXPERIMENTS)}")
         overrides = {}
-        int_keys = {
-            "m", "n", "clients", "participants", "local_iters",
-            "global_iters", "rounds", "trials", "seed", "sparsity",
-        }
-        for key, value in fields.items():
-            if key in int_keys:
-                overrides[key] = int(value)
-            elif key == "noise_scale":
+        for key, value in values.items():
+            if key == "noise_scale":
                 overrides[key] = float(value)
             elif key in ("consistent", "use_train_split"):
                 if value not in ("true", "false"):
@@ -199,8 +174,8 @@ class ExperimentSpec:
             elif key in ("tau_list", "augment_cols"):
                 overrides[key] = tuple(int(v) for v in value.split(",")) if value else ()
             else:
-                raise ValueError(f"unknown spec key {key!r}")
-        return base(**overrides)
+                overrides[key] = int(value)
+        return getattr(cls, name)(**overrides)
 
     @classmethod
     def from_file(cls, path):
@@ -208,7 +183,8 @@ class ExperimentSpec:
             return cls.from_text(fh.read())
 
 
-def _run_config(spec, *, local_iters=None, sparsity=None, master_seed):
+def _run_config(spec, *run_ids, local_iters=None, sparsity=None):
+    """The run config of one trial; its master seed derives from ``run_ids``."""
     return RunConfig(
         clients=spec.clients,
         participants=spec.participants,
@@ -216,20 +192,8 @@ def _run_config(spec, *, local_iters=None, sparsity=None, master_seed):
         global_iters=spec.global_iters,
         rounds=spec.rounds,
         sparsity=sparsity,
-        master_seed=master_seed,
+        master_seed=derive_seed(spec.seed, "run", *run_ids),
     )
-
-
-def _run_rounds(system, config, x0, on_round):
-    """fed_run without the trace bookkeeping; calls on_round(t, x) each round."""
-    partition = partition_system(system, config.clients)
-    blocks = client_blocks(system, partition)
-    x = as_vector(x0, name="x0").copy()
-    for t in range(config.rounds):
-        streams = RoundStreams.derive(config.master_seed, t)
-        x, _, _ = fed_round(blocks, x, config, streams)
-        on_round(t, x)
-    return x
 
 
 def rounds_to_threshold(curve, tol):
@@ -264,10 +228,7 @@ def run_convergence_experiment(spec, out_dir=None):
             system, x_star = gen_gaussian_system(
                 spec.m, spec.n, RngStream(spec.seed, ("data", trial))
             )
-            config = _run_config(
-                spec, local_iters=tau,
-                master_seed=derive_seed(spec.seed, "run", trial, tau),
-            )
+            config = _run_config(spec, trial, tau, local_iters=tau)
             _, trace = fed_run(system, config, np.zeros(spec.n), x_ref=x_star)
             e = np.asarray(trace.errors, dtype=np.float64)
             errs[trial] = e / e[0]
@@ -276,25 +237,6 @@ def run_convergence_experiment(spec, out_dir=None):
     if out_dir is not None:
         _write(out_dir, "convergence.csv", result.csv_text())
     return result
-
-
-def load_convergence_csv(path):
-    curves = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "tau,round,median_relative_error":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            tau, t, value = line.split(",")
-            curves.setdefault(int(tau), []).append((int(t), float(value)))
-    out = {}
-    for tau, pairs in curves.items():
-        pairs.sort()
-        out[tau] = np.array([v for _, v in pairs])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +289,7 @@ def run_sparse_experiment(spec, out_dir=None):
     recovered = np.zeros(spec.trials, dtype=bool)
     for trial in range(spec.trials):
         x0 = RngStream(spec.seed, ("init", trial)).generator.standard_normal(spec.n)
-        config = _run_config(
-            spec, sparsity=spec.sparsity, master_seed=derive_seed(spec.seed, "run", trial)
-        )
+        config = _run_config(spec, trial, sparsity=spec.sparsity)
         x_final, _ = fed_run(system, config, x0)
         support = np.flatnonzero(x_final)
         counts[support] += 1
@@ -360,24 +300,6 @@ def run_sparse_experiment(spec, out_dir=None):
         _write(out_dir, "sparse_counts.csv", result.counts_csv_text())
         _write(out_dir, "sparse_trials.csv", result.trials_csv_text())
     return result
-
-
-def load_counts_csv(path):
-    counts, flags = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "index,count,is_true_support":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            j, count, flag = line.split(",")
-            counts.append((int(j), int(count)))
-            flags.append((int(j), bool(int(flag))))
-    counts.sort()
-    flags.sort()
-    return np.array([c for _, c in counts]), np.array([f for _, f in flags])
 
 
 # ---------------------------------------------------------------------------
@@ -417,35 +339,19 @@ def run_lsq_experiment(spec, out_dir=None):
         for k in spec.augment_cols:
             A_wide = augment_columns(A, k, RngStream(spec.seed, ("augment", trial, k)))
             system = LinearSystem(A_wide, b)
-            config = _run_config(
-                spec, master_seed=derive_seed(spec.seed, "run", trial, k)
-            )
+            config = _run_config(spec, trial, k)
             dists = np.empty(spec.rounds)
 
-            def on_round(t, x):
-                dists[t] = float(np.linalg.norm(x[:n] - x_ls))
+            def on_round(t, x, participants, dropped):
+                if t:
+                    dists[t - 1] = float(np.linalg.norm(x[:n] - x_ls))
 
-            _run_rounds(system, config, np.zeros(n + k), on_round)
+            run_rounds(system, config, np.zeros(n + k), on_round)
             horizons[k][trial] = float(np.median(dists[-tail:]))
     result = LsqResult(spec, horizons)
     if out_dir is not None:
         _write(out_dir, "lsq_horizons.csv", result.csv_text())
     return result
-
-
-def load_horizons_csv(path):
-    horizons = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "k,trial,horizon":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k, trial, value = line.split(",")
-            horizons.setdefault(int(k), []).append((int(trial), float(value)))
-    return {k: np.array([v for _, v in sorted(pairs)]) for k, pairs in horizons.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +367,6 @@ class ProstateResult:
     def top_features(self, trial, how_many=5):
         order = np.argsort(-self.counts[trial], kind="stable")
         return tuple(self.feature_names[j] for j in order[:how_many])
-
-    def total_counts(self):
-        return self.counts.sum(axis=0)
 
     def csv_text(self):
         lines = ["trial,feature,count"]
@@ -493,33 +396,17 @@ def run_prostate_experiment(spec, data_path=None, out_dir=None):
     counts = np.zeros((spec.trials, n_features), dtype=np.int64)
     for trial in range(spec.trials):
         x0 = RngStream(spec.seed, ("init", trial)).generator.standard_normal(n_features)
-        config = _run_config(
-            spec, sparsity=spec.sparsity, master_seed=derive_seed(spec.seed, "run", trial)
-        )
+        config = _run_config(spec, trial, sparsity=spec.sparsity)
 
-        def on_round(t, x, trial=trial):
-            counts[trial, np.flatnonzero(x)] += 1
+        def on_round(t, x, participants, dropped, trial=trial):
+            if t:
+                counts[trial, np.flatnonzero(x)] += 1
 
-        _run_rounds(system, config, x0, on_round)
+        run_rounds(system, config, x0, on_round)
     result = ProstateResult(spec, dataset.feature_names, counts)
     if out_dir is not None:
         _write(out_dir, "prostate_counts.csv", result.csv_text())
     return result
-
-
-def load_prostate_counts_csv(path):
-    data = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "trial,feature,count":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            trial, feature, count = line.split(",")
-            data.setdefault(int(trial), {})[feature] = int(count)
-    return data
 
 
 def _write(out_dir, filename, text):

@@ -22,10 +22,11 @@ from .core import (
     as_vector,
     derive_seed,
     hard_threshold,
+    parse_key_values,
     zero_row_tol,
 )
 from .errors import DimensionMismatch, FedRKError, RoundError, TooManyClients
-from .solver import LinearSystem, rk_iterate
+from .solver import LinearSystem, _as_point, rk_iterate
 
 __all__ = [
     "TAG_SELECT",
@@ -44,12 +45,17 @@ __all__ = [
     "server_solve",
     "apply_server_round",
     "fed_round",
+    "trace_writer",
+    "run_rounds",
     "fed_run",
 ]
 
 # reserved stream-id tags; client ids must stay below these
 TAG_SELECT = 0xFFFF_FFFF
 TAG_SERVER = 0xFFFF_FFFE
+
+# the server always samples its derived system uniformly
+_UNIFORM = SamplingScheme.uniform()
 
 
 @dataclass(frozen=True)
@@ -105,10 +111,10 @@ def partition_system(system, clients, policy="contiguous-even"):
 
 def client_blocks(system, partition):
     """Materialize each client's LinearSystem, ordered by client id."""
-    out = []
-    for cid, start, count in sorted(partition.blocks):
-        out.append(LinearSystem(system.A[start:start + count], system.b[start:start + count]))
-    return out
+    return [
+        LinearSystem(system.A[start:start + count], system.b[start:start + count])
+        for _, start, count in sorted(partition.blocks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -159,22 +165,10 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text):
-        fields = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {raw!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-        known = {
+        fields = parse_key_values(text, (
             "clients", "participants", "local_iters", "global_iters",
             "rounds", "scheme", "seed", "sparsity", "residual_tol",
-        }
-        unknown = set(fields) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        ))
         try:
             return cls(
                 clients=int(fields["clients"]),
@@ -287,7 +281,7 @@ class RoundStreams:
 
     @classmethod
     def derive(cls, master_seed, round_index):
-        """Canonical per-round derivation; transports reproduce it exactly."""
+        """Canonical per-round derivation, shared by every round step."""
         return cls(
             select=RngStream(master_seed, (round_index, TAG_SELECT)),
             server=RngStream(master_seed, (round_index, TAG_SERVER)),
@@ -295,12 +289,6 @@ class RoundStreams:
                 local_stream_seed(master_seed, round_index, cid)
             ),
         )
-
-    @classmethod
-    def shared(cls, stream):
-        """All roles draw from one stream; for Monte Carlo harnesses where
-        per-round derivation cost matters and only the distribution does."""
-        return cls(select=stream, server=stream, local_stream=lambda cid: stream)
 
 
 def sample_clients(clients, participants, rng):
@@ -310,6 +298,11 @@ def sample_clients(clients, participants, rng):
     picked = rng.generator.choice(clients, size=participants, replace=False).tolist()
     picked.sort()
     return picked
+
+
+def _dead_tol_sq(x_global):
+    tol = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
+    return tol * tol
 
 
 def _local_delta(block, x_global, local_iters, scheme, rng, dead_tol_sq):
@@ -322,21 +315,30 @@ def _local_delta(block, x_global, local_iters, scheme, rng, dead_tol_sq):
 
 def client_local_update(block, x_global, local_iters, scheme, rng):
     """One client's model change: final local RK iterate minus the broadcast."""
-    x_global = as_vector(x_global, name="x_global")
-    if x_global.size != block.cols:
-        raise DimensionMismatch(
-            f"x has dim {x_global.size}, block has {block.cols} columns"
-        )
+    x_global = _as_point(block, x_global, "x_global")
     if local_iters < 1:
         raise ValueError("local_iters must be >= 1")
-    dead_tol_sq = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global)))) ** 2
-    return _local_delta(block, x_global, local_iters, scheme, rng, dead_tol_sq)
+    return _local_delta(block, x_global, local_iters, scheme, rng, _dead_tol_sq(x_global))
 
 
-def _build_server_system_trusted(deltas, x_global, tol):
+def build_server_system(deltas, x_global, tol):
+    """Stack nonzero model changes into the derived system ``delta x = d``.
+
+    Changes with norm <= ``tol`` are dropped; each kept row gets
+    d_i = <delta_i, delta_i + x_global>, which puts the row's hyperplane
+    through the client's final local iterate. Rows are stacked in ascending
+    client-id order so aggregation is independent of arrival order. A
+    change of the wrong shape raises DimensionMismatch; a non-finite one
+    raises RoundError naming its client.
+    """
     kept_rows, kept_d, kept_ids = [], [], []
     for cid, delta in sorted(deltas, key=lambda item: item[0]):
-        if math.sqrt(float(np.dot(delta, delta))) <= tol:
+        if delta.shape != x_global.shape:
+            raise DimensionMismatch(f"client {cid} delta has shape {delta.shape}")
+        sq = float(np.dot(delta, delta))
+        if not math.isfinite(sq):
+            raise RoundError(f"client {cid} sent a non-finite delta", client_id=cid)
+        if math.sqrt(sq) <= tol:
             continue
         kept_rows.append(delta)
         kept_d.append(float(np.dot(delta, delta + x_global)))
@@ -348,36 +350,21 @@ def _build_server_system_trusted(deltas, x_global, tol):
     return ServerRoundSystem(rows, np.array(kept_d), tuple(kept_ids))
 
 
-def build_server_system(deltas, x_global, tol):
-    """Stack nonzero model changes into the derived system ``delta x = d``.
-
-    Changes with norm <= ``tol`` are dropped; each kept row gets
-    d_i = <delta_i, delta_i + x_global>, which puts the row's hyperplane
-    through the client's final local iterate. Rows are stacked in ascending
-    client-id order so aggregation is independent of arrival order.
-    """
-    x_global = as_vector(x_global, name="x_global")
-    checked = []
-    for cid, delta in deltas:
-        delta = as_vector(delta, name=f"delta[{cid}]")
-        if delta.size != x_global.size:
-            raise DimensionMismatch(f"client {cid} delta has dim {delta.size}")
-        checked.append((cid, delta))
-    return _build_server_system_trusted(checked, x_global, tol)
+def _server_rk(srs, x_global, global_iters, rng, dead_tol_sq):
+    if srs.is_empty:
+        return x_global.copy()
+    return rk_iterate(
+        srs.delta_rows, srs.d, x_global.copy(), global_iters,
+        _UNIFORM, rng, dead_tol_sq,
+    )
 
 
 def server_solve(srs, x_global, global_iters, rng):
     """Run RK with uniform sampling on the derived system; empty system is a no-op."""
     x_global = as_vector(x_global, name="x_global")
-    if srs.is_empty:
-        return x_global.copy()
-    if srs.delta_rows.shape[1] != x_global.size:
+    if not srs.is_empty and srs.delta_rows.shape[1] != x_global.size:
         raise DimensionMismatch("derived system dimension mismatch")
-    dead_tol_sq = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global)))) ** 2
-    return rk_iterate(
-        srs.delta_rows, srs.d, x_global.copy(), global_iters,
-        SamplingScheme.uniform(), rng, dead_tol_sq,
-    )
+    return _server_rk(srs, x_global, global_iters, rng, _dead_tol_sq(x_global))
 
 
 def apply_server_round(deltas, x_global, config, server_rng):
@@ -385,10 +372,9 @@ def apply_server_round(deltas, x_global, config, server_rng):
 
     Returns the next global iterate and the kept client ids.
     """
-    x_norm = math.sqrt(float(np.dot(x_global, x_global)))
-    tol = zero_row_tol(x_norm)
+    tol = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
     srs = build_server_system(deltas, x_global, tol)
-    x_next = server_solve(srs, x_global, config.global_iters, server_rng)
+    x_next = _server_rk(srs, x_global, config.global_iters, server_rng, tol * tol)
     if config.sparsity is not None:
         x_next = hard_threshold(x_next, config.sparsity)
     return x_next, srs.kept_client_ids
@@ -399,13 +385,11 @@ def fed_round(blocks, x_global, config, streams):
 
     Returns ``(x_next, participant_ids, dropped_row_count)``. Client
     failures surface as RoundError naming the client. Inputs are trusted
-    (fed_run validates once up front); use the module-level operations for
-    piecemeal validated calls.
+    (run_rounds validates once up front); use the module-level operations
+    for piecemeal validated calls.
     """
     participants = sample_clients(config.clients, config.participants, streams.select)
-    x_norm = math.sqrt(float(np.dot(x_global, x_global)))
-    tol = zero_row_tol(x_norm)
-    dead_tol_sq = tol * tol
+    dead_tol_sq = _dead_tol_sq(x_global)
     deltas = []
     for cid in participants:
         try:
@@ -416,17 +400,50 @@ def fed_round(blocks, x_global, config, streams):
         except FedRKError as exc:
             raise RoundError(f"client {cid} failed: {exc}", client_id=cid) from exc
         deltas.append((cid, delta))
-    srs = _build_server_system_trusted(deltas, x_global, tol)
-    if srs.is_empty:
-        x_next = x_global.copy()
-    else:
-        x_next = rk_iterate(
-            srs.delta_rows, srs.d, x_global.copy(), config.global_iters,
-            SamplingScheme.uniform(), streams.server, dead_tol_sq,
+    x_next, kept = apply_server_round(deltas, x_global, config, streams.server)
+    return x_next, participants, len(deltas) - len(kept)
+
+
+def trace_writer(system, config, x_ref=None):
+    """``(trace, on_round)``: the callback records each round's residual (and
+    distance to ``x_ref``) and returns True to stop at ``residual_tol``."""
+    if x_ref is not None:
+        x_ref = _as_point(system, x_ref, "x_ref")
+    trace = FedTrace()
+    tol = config.residual_tol
+
+    def on_round(round_index, x, participants, dropped):
+        error = None if x_ref is None else float(np.linalg.norm(x - x_ref))
+        trace.append(round_index, error, system.residual_norm(x), participants, dropped)
+        trace.stopped_early = (
+            round_index > 0 and tol is not None and trace.residuals[-1] <= tol
         )
-    if config.sparsity is not None:
-        x_next = hard_threshold(x_next, config.sparsity)
-    return x_next, participants, len(deltas) - len(srs.kept_client_ids)
+        return trace.stopped_early
+
+    return trace, on_round
+
+
+def run_rounds(system, config, x0, on_round, step=None):
+    """The round loop of every run; returns the final iterate.
+
+    ``on_round(t, x, participants, dropped)`` sees the validated ``x0`` as
+    round 0, then the result of each ``step(t, x) -> (x_next, participants,
+    dropped)``; returning True after a round stops the run. The default
+    step is :func:`fed_round` on the system's blocks.
+    """
+    x = _as_point(system, x0, "x0").copy()
+    if step is None:
+        blocks = client_blocks(system, partition_system(system, config.clients))
+
+        def step(t, x):
+            return fed_round(blocks, x, config, RoundStreams.derive(config.master_seed, t))
+
+    on_round(0, x, (), 0)
+    for t in range(config.rounds):
+        x, participants, dropped = step(t, x)
+        if on_round(t + 1, x, participants, dropped):
+            break
+    return x
 
 
 def fed_run(system, config, x0, x_ref=None):
@@ -436,28 +453,5 @@ def fed_run(system, config, x0, x_ref=None):
     round; ``x_ref``, when given, adds per-round distances to it. Fully
     determined by ``config.master_seed``.
     """
-    x = as_vector(x0, name="x0").copy()
-    if x.size != system.cols:
-        raise DimensionMismatch(f"x0 has dim {x.size}, system has {system.cols} columns")
-    if x_ref is not None:
-        x_ref = as_vector(x_ref, name="x_ref")
-        if x_ref.size != x.size:
-            raise DimensionMismatch("x_ref dimension mismatch")
-    partition = partition_system(system, config.clients)
-    blocks = client_blocks(system, partition)
-
-    trace = FedTrace()
-
-    def log(round_index, participants, dropped):
-        error = None if x_ref is None else float(np.linalg.norm(x - x_ref))
-        trace.append(round_index, error, system.residual_norm(x), participants, dropped)
-
-    log(0, (), 0)
-    for t in range(config.rounds):
-        streams = RoundStreams.derive(config.master_seed, t)
-        x, participants, dropped = fed_round(blocks, x, config, streams)
-        log(t + 1, participants, dropped)
-        if config.residual_tol is not None and trace.residuals[-1] <= config.residual_tol:
-            trace.stopped_early = True
-            break
-    return x, trace
+    trace, on_round = trace_writer(system, config, x_ref)
+    return run_rounds(system, config, x0, on_round), trace

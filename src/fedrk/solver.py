@@ -55,6 +55,14 @@ class LinearSystem:
         return float(np.linalg.norm(self.A @ x - self.b))
 
 
+def _as_point(system, x, name):
+    """Validate ``x`` as a finite vector with one entry per column of ``system``."""
+    x = as_vector(x, name=name)
+    if x.size != system.cols:
+        raise DimensionMismatch(f"{name} has dim {x.size}, system has {system.cols} columns")
+    return x
+
+
 @dataclass
 class IterateTrace:
     """Per-step record of an iterative run: step index plus an error value.
@@ -140,17 +148,12 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
     skips the trace.
     """
     A, b = system.A, system.b
-    x = as_vector(x0, name="x0").copy()
-    if x.size != A.shape[1]:
-        raise DimensionMismatch(f"x0 has dim {x.size}, system has {A.shape[1]} columns")
+    x = _as_point(system, x0, "x0").copy()
     iters = int(iters)
     if iters < 0:
         raise ValueError("iters must be non-negative")
-
     if x_ref is not None:
-        x_ref = as_vector(x_ref, name="x_ref")
-        if x_ref.size != x.size:
-            raise DimensionMismatch("x_ref dimension mismatch")
+        x_ref = _as_point(system, x_ref, "x_ref")
 
     dead_tol = zero_row_tol(float(np.linalg.norm(x))) ** 2
 

@@ -16,30 +16,31 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import RngStream, SamplingScheme, as_vector
+from .core import RngStream, SamplingScheme
 from .errors import (
     BadMagic,
     BadType,
     BadVersion,
+    CodecError,
     ConnectionLost,
     LengthMismatch,
     RoundError,
     Truncated,
 )
 from .federation import (
-    TAG_SELECT,
-    TAG_SERVER,
-    FedTrace,
+    RoundStreams,
     apply_server_round,
     client_blocks,
     client_local_update,
     local_stream_seed,
     partition_system,
+    run_rounds,
     sample_clients,
+    trace_writer,
 )
 from .solver import LinearSystem
 
@@ -67,6 +68,8 @@ MSG_DELTA = 3
 MSG_SHUTDOWN = 4
 
 _HEADER = struct.Struct("<2sBBI")
+# a Delta payload is round, client id and n (u32 each), then n float64s
+_DELTA_HEAD = 12
 
 
 def _check_uint(value, bits, name):
@@ -76,25 +79,27 @@ def _check_uint(value, bits, name):
     return value
 
 
+class _Message:
+    """Field-wise equality that compares array fields by value."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class AssignPartition:
+class AssignPartition(_Message):
     """Server -> client: the client's rows of the system."""
 
     client_id: int
     A: np.ndarray
     b: np.ndarray
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AssignPartition)
-            and self.client_id == other.client_id
-            and np.array_equal(self.A, other.A)
-            and np.array_equal(self.b, other.b)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class Broadcast:
+class Broadcast(_Message):
     """Server -> client: the round's global iterate plus the local stream seed."""
 
     round_index: int
@@ -102,31 +107,14 @@ class Broadcast:
     local_iters: int
     stream_seed: int
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Broadcast)
-            and self.round_index == other.round_index
-            and self.local_iters == other.local_iters
-            and self.stream_seed == other.stream_seed
-            and np.array_equal(self.x, other.x)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class Delta:
+class Delta(_Message):
     """Client -> server: the local model change for one round."""
 
     round_index: int
     client_id: int
     delta: np.ndarray
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Delta)
-            and self.round_index == other.round_index
-            and self.client_id == other.client_id
-            and np.array_equal(self.delta, other.delta)
-        )
 
 
 @dataclass(frozen=True)
@@ -363,12 +351,20 @@ def _recv_exact(sock, nbytes):
     return bytes(buf)
 
 
-def read_frame(sock):
-    """Read one frame from a socket; None on clean end-of-stream."""
+def read_frame(sock, max_payload=None):
+    """Read one frame from a socket; None on clean end-of-stream.
+
+    A header declaring more than ``max_payload`` payload bytes raises
+    LengthMismatch before any of the payload is read.
+    """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
     _, _, _, payload_len = _HEADER.unpack(header)
+    if max_payload is not None and payload_len > max_payload:
+        raise LengthMismatch(
+            f"frame declares {payload_len} payload bytes, at most {max_payload} expected", 4
+        )
     payload = b""
     if payload_len:
         payload = _recv_exact(sock, payload_len)
@@ -382,9 +378,10 @@ def write_frame(sock, msg):
 
 
 class _SocketConnection:
-    def __init__(self, sock, client_id):
+    def __init__(self, sock, client_id, max_payload):
         self.client_id = client_id
         self._sock = sock
+        self._max_payload = max_payload
 
     def send(self, msg):
         try:
@@ -397,7 +394,7 @@ class _SocketConnection:
 
     def recv(self):
         try:
-            msg = read_frame(self._sock)
+            msg = read_frame(self._sock, self._max_payload)
         except socket.timeout as exc:
             raise RoundError(
                 f"client {self.client_id} timed out", client_id=self.client_id
@@ -405,6 +402,11 @@ class _SocketConnection:
         except (OSError, Truncated) as exc:
             raise ConnectionLost(
                 f"client {self.client_id} connection lost: {exc}",
+                client_id=self.client_id,
+            ) from exc
+        except CodecError as exc:
+            raise RoundError(
+                f"client {self.client_id} sent a malformed frame: {exc}",
                 client_id=self.client_id,
             ) from exc
         if msg is None:
@@ -421,20 +423,24 @@ class _SocketConnection:
             pass
 
 
-def _accept_clients(endpoint, clients, timeout):
+def _accept_clients(endpoint, clients, cols, timeout):
     listener = socket.create_server((endpoint.host, endpoint.port), reuse_port=False)
     listener.settimeout(timeout)
     conns = {}
     try:
         while len(conns) < clients:
             try:
-                sock, _ = listener.accept()
+                sock, addr = listener.accept()
             except socket.timeout:
                 raise RoundError(
                     f"timed out waiting for clients ({len(conns)}/{clients} joined)"
                 )
             sock.settimeout(timeout)
-            hello = read_frame(sock)
+            try:
+                hello = read_frame(sock, _DELTA_HEAD)  # an empty Delta
+            except (OSError, CodecError) as exc:
+                sock.close()
+                raise RoundError(f"bad client hello from {addr[0]}:{addr[1]}: {exc}") from exc
             if not isinstance(hello, Delta) or hello.delta.size != 0:
                 sock.close()
                 raise RoundError("malformed client hello")
@@ -442,25 +448,41 @@ def _accept_clients(endpoint, clients, timeout):
             if cid >= clients or cid in conns:
                 sock.close()
                 raise RoundError(f"bad or duplicate client id {cid}", client_id=cid)
-            conns[cid] = _SocketConnection(sock, cid)
+            conns[cid] = _SocketConnection(sock, cid, _DELTA_HEAD + 8 * cols)
     finally:
         listener.close()
     return conns
 
 
+def _recv_delta(conn, round_index):
+    cid = conn.client_id
+    msg = conn.recv()
+    if not isinstance(msg, Delta):
+        raise RoundError(f"client {cid} replied with {type(msg).__name__}", client_id=cid)
+    if msg.round_index != round_index:
+        raise RoundError(
+            f"client {cid} sent a stale round {msg.round_index} delta", client_id=cid
+        )
+    if msg.client_id != cid:
+        raise RoundError(
+            f"delta labelled {msg.client_id} arrived on connection {cid}", client_id=cid
+        )
+    return msg.delta
+
+
 def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     """Drive a full federated run over the endpoint's transport.
 
-    Returns ``(x_final, FedTrace)``; for equal master seeds the trace is
-    bit-identical across loopback and sockets, and to :func:`fed_run`.
+    Returns ``(x_final, FedTrace)``. Only the round step is the transport's
+    own (broadcast, collect deltas); the loop, server half and trace are
+    :func:`fed_run`'s, so for equal master seeds the trace is bit-identical
+    across loopback, sockets and :func:`fed_run`.
     """
     if endpoint.role != "server":
         raise ValueError("run_server needs a server endpoint")
-    partition = partition_system(system, config.clients)
-    blocks = client_blocks(system, partition)
-    x = np.zeros(system.cols) if x0 is None else as_vector(x0, name="x0").copy()
-    if x_ref is not None:
-        x_ref = as_vector(x_ref, name="x_ref")
+    blocks = client_blocks(system, partition_system(system, config.clients))
+    x0 = np.zeros(system.cols) if x0 is None else x0
+    trace, on_round = trace_writer(system, config, x_ref)
 
     if endpoint.transport == "loopback":
         conns = {
@@ -468,53 +490,25 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
             for cid in range(config.clients)
         }
     elif endpoint.transport == "socket":
-        conns = _accept_clients(endpoint, config.clients, timeout)
+        conns = _accept_clients(endpoint, config.clients, system.cols, timeout)
     else:
         raise ValueError(f"unknown transport {endpoint.transport!r}")
 
-    trace = FedTrace()
-
-    def log(round_index, participant_ids, dropped):
-        error = None if x_ref is None else float(np.linalg.norm(x - x_ref))
-        trace.append(round_index, error, system.residual_norm(x), participant_ids, dropped)
+    def step(t, x):
+        streams = RoundStreams.derive(config.master_seed, t)
+        participants = sample_clients(config.clients, config.participants, streams.select)
+        for cid in participants:
+            conns[cid].send(Broadcast(
+                t, x, config.local_iters, local_stream_seed(config.master_seed, t, cid)
+            ))
+        deltas = [(cid, _recv_delta(conns[cid], t)) for cid in participants]
+        x_next, kept = apply_server_round(deltas, x, config, streams.server)
+        return x_next, participants, len(deltas) - len(kept)
 
     try:
         for cid, block in enumerate(blocks):
             conns[cid].send(AssignPartition(cid, block.A, block.b))
-
-        log(0, (), 0)
-        seed = config.master_seed
-        for t in range(config.rounds):
-            select_stream = RngStream(seed, (t, TAG_SELECT))
-            server_stream = RngStream(seed, (t, TAG_SERVER))
-            participants = sample_clients(config.clients, config.participants, select_stream)
-            for cid in participants:
-                conns[cid].send(
-                    Broadcast(t, x, config.local_iters, local_stream_seed(seed, t, cid))
-                )
-            deltas = []
-            for cid in participants:
-                msg = conns[cid].recv()
-                if not isinstance(msg, Delta):
-                    raise RoundError(
-                        f"client {cid} replied with {type(msg).__name__}", client_id=cid
-                    )
-                if msg.round_index != t:
-                    raise RoundError(
-                        f"client {cid} sent a stale round {msg.round_index} delta",
-                        client_id=cid,
-                    )
-                if msg.client_id != cid:
-                    raise RoundError(
-                        f"delta labelled {msg.client_id} arrived on connection {cid}",
-                        client_id=cid,
-                    )
-                deltas.append((cid, msg.delta))
-            x, kept = apply_server_round(deltas, x, config, server_stream)
-            log(t + 1, participants, len(deltas) - len(kept))
-            if config.residual_tol is not None and trace.residuals[-1] <= config.residual_tol:
-                trace.stopped_early = True
-                break
+        x = run_rounds(system, config, x0, on_round, step)
     finally:
         for conn in conns.values():
             try:

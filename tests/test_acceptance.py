@@ -139,7 +139,8 @@ def test_criterion_03_expected_update_oracle():
         local_iters=2, global_iters=1, rounds=1,
     )
     trials = 1_000_000
-    streams = RoundStreams.shared(RngStream(30303))
+    stream = RngStream(30303)
+    streams = RoundStreams(select=stream, server=stream, local_stream=lambda cid: stream)
     total = np.zeros(3)
     total_sq = np.zeros(3)
     for _ in range(trials):

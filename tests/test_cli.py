@@ -145,6 +145,32 @@ def test_solve_tcp_round_trip(small_problem, tmp_path):
     assert out_tcp.read_text() == out_loop.read_text()
 
 
+def test_solve_tcp_non_finite_delta_is_runtime_error(small_problem, tmp_path, capsys):
+    from fedrk.transport import Delta, read_frame, write_frame
+
+    a_path, b_path = small_problem
+    port = free_port()
+    codes = {}
+    args = solve_args(
+        a_path, b_path, tmp_path / "tcp.csv", transport="tcp", port=port, timeout=10
+    )
+    args[args.index("--clients") + 1] = "1"
+    args[args.index("--participants") + 1] = "1"
+    server = threading.Thread(target=lambda: codes.setdefault("server", main(args)))
+    server.start()
+    time.sleep(0.1)
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.settimeout(10)
+    write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
+    read_frame(sock)  # AssignPartition
+    read_frame(sock)  # round-0 Broadcast
+    write_frame(sock, Delta(0, 0, np.full(4, np.nan)))
+    server.join(timeout=60)
+    sock.close()
+    assert codes["server"] == 3
+    assert "client 0" in capsys.readouterr().err
+
+
 def test_exp_lsq_with_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "spec.txt"
     spec_path.write_text(

@@ -11,16 +11,51 @@ from fedrk.experiments import (
     augment_columns,
     gen_gaussian_system,
     gen_sparse_instance,
-    load_convergence_csv,
-    load_counts_csv,
-    load_horizons_csv,
-    load_prostate_counts_csv,
     rounds_to_threshold,
     run_convergence_experiment,
     run_lsq_experiment,
     run_prostate_experiment,
     run_sparse_experiment,
 )
+
+# ---------------------------------------------------------------------------
+# readers for the runners' CSV outputs
+# ---------------------------------------------------------------------------
+
+def read_csv_rows(path, header):
+    with open(path) as fh:
+        assert fh.readline().strip() == header
+        return [line.strip().split(",") for line in fh if line.strip()]
+
+
+def load_convergence_csv(path):
+    curves = {}
+    for tau, t, value in read_csv_rows(path, "tau,round,median_relative_error"):
+        curves.setdefault(int(tau), []).append((int(t), float(value)))
+    return {tau: np.array([v for _, v in sorted(pairs)]) for tau, pairs in curves.items()}
+
+
+def load_counts_csv(path):
+    rows = sorted(
+        (int(j), int(count), bool(int(flag)))
+        for j, count, flag in read_csv_rows(path, "index,count,is_true_support")
+    )
+    return np.array([c for _, c, _ in rows]), np.array([f for _, _, f in rows])
+
+
+def load_horizons_csv(path):
+    horizons = {}
+    for k, trial, value in read_csv_rows(path, "k,trial,horizon"):
+        horizons.setdefault(int(k), []).append((int(trial), float(value)))
+    return {k: np.array([v for _, v in sorted(pairs)]) for k, pairs in horizons.items()}
+
+
+def load_prostate_counts_csv(path):
+    data = {}
+    for trial, feature, count in read_csv_rows(path, "trial,feature,count"):
+        data.setdefault(int(trial), {})[feature] = int(count)
+    return data
+
 
 # ---------------------------------------------------------------------------
 # generators

@@ -193,6 +193,14 @@ def test_build_server_system_dimension_check():
         build_server_system([(0, np.ones(3))], np.zeros(2), 1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_server_system_non_finite_delta_names_client(bad):
+    deltas = [(0, np.ones(2)), (3, np.array([1.0, bad]))]
+    with pytest.raises(RoundError) as err:
+        build_server_system(deltas, np.zeros(2), 1e-12)
+    assert err.value.client_id == 3
+
+
 def test_apply_server_round_arrival_order_independent():
     from fedrk.federation import apply_server_round
 
@@ -297,6 +305,24 @@ def test_fed_run_zero_rounds_returns_x0():
     x, trace = fed_run(system, cfg, x0)
     assert np.array_equal(x, x0)
     assert trace.rounds == [0]
+
+
+def _run_server_loopback(system, cfg, x0, x_ref=None):
+    from fedrk.transport import Endpoint, run_server
+
+    return run_server(Endpoint.loopback(), system, cfg, x0=x0, x_ref=x_ref)
+
+
+@pytest.mark.parametrize("run", [fed_run, _run_server_loopback], ids=["fed_run", "loopback"])
+def test_run_rejects_wrong_dimensions(run):
+    system, x_star = gaussian_consistent(6, 3, 44)
+    cfg = config(rounds=2)
+    with pytest.raises(DimensionMismatch):
+        run(system, cfg, np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        run(system, cfg, np.zeros(3), x_ref=np.zeros(2))
+    x, _ = run(system, cfg, np.zeros(3), x_ref=x_star)
+    assert x.shape == (3,)
 
 
 def test_fed_run_deterministic():

@@ -205,7 +205,7 @@ def test_expected_update_matches_monte_carlo_rounds():
     )
     trials = 200_000
     stream = RngStream(999)
-    streams = RoundStreams.shared(stream)
+    streams = RoundStreams(select=stream, server=stream, local_stream=lambda cid: stream)
     total = np.zeros(3)
     total_sq = np.zeros(3)
     for _ in range(trials):

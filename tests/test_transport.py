@@ -406,6 +406,93 @@ def test_socket_stale_round_delta_rejected():
     assert "stale" in str(err)
 
 
+def serve_in_thread(system, cfg, port, timeout):
+    """Start run_server on a socket endpoint; returns (thread, result box)."""
+    result = {}
+
+    def serve():
+        try:
+            result["out"] = run_server(
+                Endpoint.server("127.0.0.1", port), system, cfg, timeout=timeout
+            )
+        except RoundError as exc:
+            result["error"] = exc
+
+    server = threading.Thread(target=serve)
+    server.start()
+    time.sleep(0.05)
+    return server, result
+
+
+def join_first_broadcast(port):
+    """Log in as client 0 by hand and read up to the round-0 Broadcast."""
+    from fedrk.transport import read_frame
+
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    sock.settimeout(5.0)
+    write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
+    assert isinstance(read_frame(sock), AssignPartition)
+    broadcast = read_frame(sock)
+    assert isinstance(broadcast, Broadcast) and broadcast.round_index == 0
+    return sock
+
+
+def one_client_config():
+    return RunConfig(
+        clients=1, participants=1, local_iters=2, global_iters=2, rounds=3, master_seed=4,
+    )
+
+
+def test_socket_non_finite_delta_names_client():
+    system, _ = gaussian_consistent(6, 2, 11)
+    port = free_port()
+    server, result = serve_in_thread(system, one_client_config(), port, timeout=5.0)
+    sock = join_first_broadcast(port)
+    write_frame(sock, Delta(0, 0, np.array([np.nan, 1.0])))
+    server.join(timeout=30)
+    sock.close()
+    err = result.get("error")
+    assert isinstance(err, RoundError)
+    assert err.client_id == 0
+    assert "non-finite" in str(err)
+
+
+def test_socket_oversized_delta_frame_rejected_before_payload():
+    system, _ = gaussian_consistent(6, 2, 12)
+    port = free_port()
+    timeout = 10.0
+    server, result = serve_in_thread(system, one_client_config(), port, timeout)
+    sock = join_first_broadcast(port)
+    start = time.monotonic()
+    # a Delta header declaring 0xFFFFFFFF payload bytes, and no payload
+    sock.sendall(b"FK" + bytes([1, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
+    server.join(timeout=30)
+    elapsed = time.monotonic() - start
+    sock.close()
+    err = result.get("error")
+    assert isinstance(err, RoundError)
+    assert err.client_id == 0
+    assert isinstance(err.__cause__, LengthMismatch)
+    assert elapsed < timeout / 4
+
+
+def test_socket_oversized_hello_rejected_before_payload():
+    system, _ = gaussian_consistent(6, 2, 13)
+    port = free_port()
+    timeout = 10.0
+    server, result = serve_in_thread(system, one_client_config(), port, timeout)
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    start = time.monotonic()
+    sock.sendall(b"FK" + bytes([1, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
+    server.join(timeout=30)
+    elapsed = time.monotonic() - start
+    sock.close()
+    err = result.get("error")
+    assert isinstance(err, RoundError)
+    assert isinstance(err.__cause__, LengthMismatch)
+    assert elapsed < timeout / 4
+
+
 def test_socket_duplicate_client_id_rejected():
     system, _ = gaussian_consistent(6, 2, 10)
     cfg = RunConfig(
