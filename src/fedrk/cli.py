@@ -72,7 +72,10 @@ def build_parser():
     client.add_argument("--host", default="127.0.0.1")
     client.add_argument("--port", type=int, required=True)
     client.add_argument("--id", type=int, required=True)
-    client.add_argument("--scheme", choices=["sqnorm", "uniform"], default="sqnorm")
+    client.add_argument(
+        "--scheme", choices=["sqnorm", "uniform"], default=None,
+        help="local scheme; default: the server's (a different one is an error)",
+    )
     client.add_argument("--timeout", type=float, default=30.0)
 
     exp = sub.add_parser("exp", help="run a canned experiment")
@@ -116,7 +119,8 @@ def _cmd_solve(args):
 
 def _cmd_client(args):
     endpoint = Endpoint.client(args.host, args.port)
-    run_client(endpoint, args.id, SamplingScheme.from_label(args.scheme), timeout=args.timeout)
+    scheme = None if args.scheme is None else SamplingScheme.from_label(args.scheme)
+    run_client(endpoint, args.id, scheme, timeout=args.timeout)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "zero_row_tol",
+    "row_norms_sq",
     "RngStream",
     "derive_seed",
     "SamplingScheme",
@@ -71,6 +72,11 @@ def as_matrix(data, name="matrix", allow_empty=False):
 def zero_row_tol(x_norm):
     """Scale-aware threshold below which a row/update counts as zero."""
     return 1e-12 * (1.0 + x_norm)
+
+
+def row_norms_sq(matrix):
+    """Squared Euclidean norm of each row of a 2-D array (of a 1-D array itself)."""
+    return np.einsum("...j,...j->...", matrix, matrix)
 
 
 def _spawn_key(stream_id):
@@ -147,13 +153,12 @@ class SamplingScheme:
             raise WeightError("custom weights need at least one positive entry")
         return cls(_CUSTOM, tuple(float(v) for v in w))
 
-    def probabilities(self, matrix):
-        """Per-row probabilities for ``matrix`` under this scheme."""
-        m = matrix.shape[0]
+    def probabilities(self, row_sq):
+        """Per-row probabilities under this scheme, from the rows' squared norms."""
+        m = row_sq.shape[0]
         if self.kind == _UNIFORM:
             return np.full(m, 1.0 / m)
         if self.kind == _SQNORM:
-            row_sq = np.einsum("ij,ij->i", matrix, matrix)
             total = float(row_sq.sum())
             if total <= 0.0:
                 raise AllRowsZero("squared-row-norm sampling on an all-zero matrix")
@@ -166,6 +171,12 @@ class SamplingScheme:
                 )
             return w / w.sum()
         raise ValueError(f"unknown sampling scheme kind {self.kind!r}")
+
+    def cdf(self, row_sq):
+        """Inverse-CDF table of :meth:`probabilities`; the last entry is exactly 1."""
+        cdf = np.cumsum(self.probabilities(row_sq))
+        cdf[-1] = 1.0
+        return cdf
 
     def label(self):
         """Short text form used in config files."""
@@ -219,17 +230,16 @@ def hard_threshold(x, s):
     return out
 
 
-def sample_rows(scheme, rng, matrix, count):
+def sample_rows(scheme, rng, matrix, count, cdf=None):
     """Draw ``count`` i.i.d. row indices of ``matrix`` under ``scheme``.
 
     Inverse-CDF on one uniform per draw, so splitting a run into two calls
-    on the same stream yields the same indices as a single call.
+    on the same stream yields the same indices as a single call. A ``cdf``
+    kept from ``scheme.cdf`` of the matrix's row norms replaces ``matrix``.
     """
-    probs = scheme.probabilities(matrix)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    u = rng.generator.random(count)
-    return np.searchsorted(cdf, u, side="right")
+    if cdf is None:
+        cdf = scheme.cdf(row_norms_sq(matrix))
+    return np.searchsorted(cdf, rng.generator.random(count), side="right")
 
 
 def sample_row(scheme, rng, matrix):

@@ -53,6 +53,20 @@ class ConnectionLost(RoundError):
     pass
 
 
+class NumericalError(RoundError):
+    """A round produced a non-finite value (overflow); ``round_index`` is the
+    trace row it belongs to, and ``client_id`` names the client whose delta
+    caused it, when one did."""
+
+    def __init__(self, message, client_id=None, round_index=None):
+        super().__init__(message, client_id)
+        self.round_index = round_index
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.round_index is None else f"round {self.round_index}: {text}"
+
+
 class CodecError(FedRKError):
     """Wire-format decode failure at byte position `offset`."""
 

@@ -229,9 +229,13 @@ def run_convergence_experiment(spec, out_dir=None):
                 spec.m, spec.n, RngStream(spec.seed, ("data", trial))
             )
             config = _run_config(spec, trial, tau, local_iters=tau)
-            _, trace = fed_run(system, config, np.zeros(spec.n), x_ref=x_star)
-            e = np.asarray(trace.errors, dtype=np.float64)
-            errs[trial] = e / e[0]
+            e = errs[trial]
+
+            def on_round(t, x, participants, dropped):
+                e[t] = np.linalg.norm(x - x_star)
+
+            run_rounds(system, config, np.zeros(spec.n), on_round)
+            e /= e[0]
         curves[tau] = np.median(errs, axis=0)
     result = ConvergenceResult(spec, curves)
     if out_dir is not None:

@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
     RngStream,
     SamplingScheme,
-    as_matrix,
     as_vector,
     derive_seed,
     hard_threshold,
     parse_key_values,
+    row_norms_sq,
     zero_row_tol,
 )
-from .errors import DimensionMismatch, FedRKError, RoundError, TooManyClients
+from .errors import DimensionMismatch, FedRKError, NumericalError, RoundError, TooManyClients
 from .solver import LinearSystem, _as_point, rk_iterate
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "partition_system",
     "client_blocks",
     "sample_clients",
+    "round_tol",
     "client_local_update",
     "build_server_system",
     "server_solve",
@@ -85,14 +86,12 @@ class Partition:
             raise ValueError("blocks must cover all rows")
 
 
-def partition_system(system, clients, policy="contiguous-even"):
+def partition_system(system, clients):
     """Split a system's rows into contiguous near-even blocks.
 
     Earlier clients receive the larger blocks when the row count does not
     divide evenly.
     """
-    if policy != "contiguous-even":
-        raise ValueError(f"unknown partition policy {policy!r}")
     clients = int(clients)
     rows = system.rows
     if clients < 1:
@@ -185,27 +184,21 @@ class RunConfig:
             raise ValueError(f"missing config key {exc.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class ServerRoundSystem:
-    """The round's derived system: stacked nonzero model changes and d."""
+class ServerRoundSystem(NamedTuple):
+    """The round's derived system: kept model changes by client id, their d and squared norms."""
 
-    delta_rows: np.ndarray
-    d: np.ndarray
+    delta_rows: list
+    d: list
+    row_sq: list
     kept_client_ids: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "delta_rows", as_matrix(self.delta_rows, name="delta_rows", allow_empty=True)
-        )
-        d = np.asarray(self.d, dtype=np.float64)
-        if d.shape != (self.delta_rows.shape[0],):
-            raise DimensionMismatch("d must have one entry per kept row")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "kept_client_ids", tuple(self.kept_client_ids))
 
     @property
     def is_empty(self):
-        return self.delta_rows.shape[0] == 0
+        return not self.delta_rows
+
+    def kaczmarz_setup(self, scheme):
+        """The set-up :func:`rk_iterate` reads; the build computed all but the CDF."""
+        return self.delta_rows, self.d, self.row_sq, scheme.cdf(np.array(self.row_sq))
 
 
 @dataclass
@@ -300,15 +293,13 @@ def sample_clients(clients, participants, rng):
     return picked
 
 
-def _dead_tol_sq(x_global):
-    tol = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
-    return tol * tol
+def round_tol(x_global):
+    """Norm at or below which a model change or row counts as zero in a round."""
+    return zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
 
 
 def _local_delta(block, x_global, local_iters, scheme, rng, dead_tol_sq):
-    x_local = rk_iterate(
-        block.A, block.b, x_global.copy(), local_iters, scheme, rng, dead_tol_sq
-    )
+    x_local = rk_iterate(block, x_global.copy(), dead_tol_sq, local_iters, scheme, rng)
     x_local -= x_global
     return x_local
 
@@ -318,7 +309,7 @@ def client_local_update(block, x_global, local_iters, scheme, rng):
     x_global = _as_point(block, x_global, "x_global")
     if local_iters < 1:
         raise ValueError("local_iters must be >= 1")
-    return _local_delta(block, x_global, local_iters, scheme, rng, _dead_tol_sq(x_global))
+    return _local_delta(block, x_global, local_iters, scheme, rng, round_tol(x_global) ** 2)
 
 
 def build_server_system(deltas, x_global, tol):
@@ -328,53 +319,52 @@ def build_server_system(deltas, x_global, tol):
     d_i = <delta_i, delta_i + x_global>, which puts the row's hyperplane
     through the client's final local iterate. Rows are stacked in ascending
     client-id order so aggregation is independent of arrival order. A
-    change of the wrong shape raises DimensionMismatch; a non-finite one
-    raises RoundError naming its client.
+    change of the wrong shape raises DimensionMismatch; a non-finite change
+    or d_i raises NumericalError naming its client.
     """
-    kept_rows, kept_d, kept_ids = [], [], []
+    rows, d, row_sq, kept_ids = [], [], [], []
     for cid, delta in sorted(deltas, key=lambda item: item[0]):
         if delta.shape != x_global.shape:
             raise DimensionMismatch(f"client {cid} delta has shape {delta.shape}")
-        sq = float(np.dot(delta, delta))
+        sq = float(row_norms_sq(delta))
         if not math.isfinite(sq):
-            raise RoundError(f"client {cid} sent a non-finite delta", client_id=cid)
+            raise NumericalError(f"client {cid} sent a non-finite delta", client_id=cid)
         if math.sqrt(sq) <= tol:
             continue
-        kept_rows.append(delta)
-        kept_d.append(float(np.dot(delta, delta + x_global)))
+        d_i = float(np.dot(delta, delta + x_global))
+        if not math.isfinite(d_i):
+            raise NumericalError(f"client {cid}'s derived d is not finite", client_id=cid)
+        rows.append(delta)
+        d.append(d_i)
+        row_sq.append(sq)
         kept_ids.append(int(cid))
-    if kept_rows:
-        rows = np.array(kept_rows)
-    else:
-        rows = np.zeros((0, x_global.size))
-    return ServerRoundSystem(rows, np.array(kept_d), tuple(kept_ids))
+    return ServerRoundSystem(rows, d, row_sq, tuple(kept_ids))
 
 
 def _server_rk(srs, x_global, global_iters, rng, dead_tol_sq):
     if srs.is_empty:
         return x_global.copy()
-    return rk_iterate(
-        srs.delta_rows, srs.d, x_global.copy(), global_iters,
-        _UNIFORM, rng, dead_tol_sq,
-    )
+    return rk_iterate(srs, x_global.copy(), dead_tol_sq, global_iters, _UNIFORM, rng)
 
 
 def server_solve(srs, x_global, global_iters, rng):
     """Run RK with uniform sampling on the derived system; empty system is a no-op."""
     x_global = as_vector(x_global, name="x_global")
-    if not srs.is_empty and srs.delta_rows.shape[1] != x_global.size:
+    if not srs.is_empty and srs.delta_rows[0].size != x_global.size:
         raise DimensionMismatch("derived system dimension mismatch")
-    return _server_rk(srs, x_global, global_iters, rng, _dead_tol_sq(x_global))
+    return _server_rk(srs, x_global, global_iters, rng, round_tol(x_global) ** 2)
 
 
-def apply_server_round(deltas, x_global, config, server_rng):
+def apply_server_round(deltas, x_global, config, server_rng, tol):
     """Server half of a round: build the derived system, solve, threshold.
 
-    Returns the next global iterate and the kept client ids.
+    ``tol`` is :func:`round_tol` of ``x_global``. Returns the next global
+    iterate (NumericalError if it is not finite) and the kept client ids.
     """
-    tol = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
     srs = build_server_system(deltas, x_global, tol)
     x_next = _server_rk(srs, x_global, config.global_iters, server_rng, tol * tol)
+    if not np.isfinite(x_next).all():
+        raise NumericalError("the server iterate is not finite")
     if config.sparsity is not None:
         x_next = hard_threshold(x_next, config.sparsity)
     return x_next, srs.kept_client_ids
@@ -389,18 +379,18 @@ def fed_round(blocks, x_global, config, streams):
     for piecemeal validated calls.
     """
     participants = sample_clients(config.clients, config.participants, streams.select)
-    dead_tol_sq = _dead_tol_sq(x_global)
+    tol = round_tol(x_global)
     deltas = []
     for cid in participants:
         try:
             delta = _local_delta(
                 blocks[cid], x_global, config.local_iters,
-                config.local_scheme, streams.local_stream(cid), dead_tol_sq,
+                config.local_scheme, streams.local_stream(cid), tol * tol,
             )
         except FedRKError as exc:
             raise RoundError(f"client {cid} failed: {exc}", client_id=cid) from exc
         deltas.append((cid, delta))
-    x_next, kept = apply_server_round(deltas, x_global, config, streams.server)
+    x_next, kept = apply_server_round(deltas, x_global, config, streams.server, tol)
     return x_next, participants, len(deltas) - len(kept)
 
 
@@ -414,7 +404,10 @@ def trace_writer(system, config, x_ref=None):
 
     def on_round(round_index, x, participants, dropped):
         error = None if x_ref is None else float(np.linalg.norm(x - x_ref))
-        trace.append(round_index, error, system.residual_norm(x), participants, dropped)
+        residual = system.residual_norm(x)
+        if not math.isfinite(residual):
+            raise NumericalError("the residual is not finite", round_index=round_index)
+        trace.append(round_index, error, residual, participants, dropped)
         trace.stopped_early = (
             round_index > 0 and tol is not None and trace.residuals[-1] <= tol
         )
@@ -429,7 +422,8 @@ def run_rounds(system, config, x0, on_round, step=None):
     ``on_round(t, x, participants, dropped)`` sees the validated ``x0`` as
     round 0, then the result of each ``step(t, x) -> (x_next, participants,
     dropped)``; returning True after a round stops the run. The default
-    step is :func:`fed_round` on the system's blocks.
+    step is :func:`fed_round` on the system's blocks. A NumericalError from
+    a step is given the round it happened in.
     """
     x = _as_point(system, x0, "x0").copy()
     if step is None:
@@ -440,7 +434,11 @@ def run_rounds(system, config, x0, on_round, step=None):
 
     on_round(0, x, (), 0)
     for t in range(config.rounds):
-        x, participants, dropped = step(t, x)
+        try:
+            x, participants, dropped = step(t, x)
+        except NumericalError as exc:
+            exc.round_index = t + 1
+            raise
         if on_round(t + 1, x, participants, dropped):
             break
     return x

@@ -7,6 +7,7 @@ import numpy as np
 from .core import (
     as_matrix,
     as_vector,
+    row_norms_sq,
     sample_rows,
     zero_row_tol,
 )
@@ -26,7 +27,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A dense system A x = b (rows of A paired with entries of b)."""
+    """A dense system A x = b (rows of A paired with entries of b, their squared
+    norms kept in ``row_sq``)."""
 
     A: np.ndarray
     b: np.ndarray
@@ -38,10 +40,20 @@ class LinearSystem:
             raise DimensionMismatch(
                 f"A has {A.shape[0]} rows but b has {b.size} entries"
             )
-        if not np.any(np.einsum("ij,ij->i", A, A) > 0.0):
+        row_sq = row_norms_sq(A)
+        if not np.any(row_sq > 0.0):
             raise ZeroRow("system needs at least one row with positive norm")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "row_sq", row_sq)
+        object.__setattr__(self, "_setups", {})
+
+    def kaczmarz_setup(self, scheme):
+        """``(rows, b list, row_sq list, CDF)`` for :func:`rk_iterate`, once per scheme."""
+        if scheme not in self._setups:
+            lists = list(self.A), self.b.tolist(), self.row_sq.tolist()
+            self._setups[scheme] = (*lists, scheme.cdf(self.row_sq))
+        return self._setups[scheme]
 
     @property
     def rows(self):
@@ -109,22 +121,19 @@ class IterateTrace:
         return cls(np.array(steps), np.array(values), kind=kind)
 
 
-def rk_iterate(A, b, x, iters, scheme, rng, dead_tol, on_step=None):
-    """Unvalidated RK projection loop; mutates and returns ``x``.
+def rk_iterate(system, x, dead_tol, iters, scheme, rng, on_step=None):
+    """Unvalidated RK loop on ``system.kaczmarz_setup``; mutates and returns ``x``.
 
     ``dead_tol`` is compared against squared row norms. Shared by
     :func:`rk_run` and the federation hot path so both produce bit-identical
     iterates.
     """
-    if A.shape[0] == 1 and scheme.weights is None:
+    rows, b_list, sq_list, cdf = system.kaczmarz_setup(scheme)
+    if len(rows) == 1 and scheme.weights is None:
         # every draw lands on row 0; skip the stream entirely
         index_list = [0] * int(iters)
     else:
-        index_list = sample_rows(scheme, rng, A, iters).tolist()
-    row_sq = np.einsum("ij,ij->i", A, A)
-    rows = list(A)
-    b_list = b.tolist()
-    sq_list = row_sq.tolist()
+        index_list = sample_rows(scheme, rng, None, iters, cdf).tolist()
     tmp = np.empty_like(x)
     dot, mul, add = np.dot, np.multiply, np.add
     for j in index_list:
@@ -147,7 +156,6 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
     when a reference is given, otherwise the residual norm. ``record=False``
     skips the trace.
     """
-    A, b = system.A, system.b
     x = _as_point(system, x0, "x0").copy()
     iters = int(iters)
     if iters < 0:
@@ -158,17 +166,17 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
     dead_tol = zero_row_tol(float(np.linalg.norm(x))) ** 2
 
     if not record:
-        x = rk_iterate(A, b, x, iters, scheme, rng, dead_tol)
+        x = rk_iterate(system, x, dead_tol, iters, scheme, rng)
         return x, IterateTrace(np.array([], dtype=np.int64), np.array([]), kind="none")
 
     def current_value(point):
         if x_ref is not None:
             return float(np.linalg.norm(point - x_ref))
-        return float(np.linalg.norm(A @ point - b))
+        return system.residual_norm(point)
 
     values = [current_value(x)]
     x = rk_iterate(
-        A, b, x, iters, scheme, rng, dead_tol,
+        system, x, dead_tol, iters, scheme, rng,
         on_step=lambda point: values.append(current_value(point)),
     )
     trace = IterateTrace(
@@ -192,11 +200,11 @@ def contraction_factor(A, scheme):
     row (1, 1) in the plane), so two more deterministic starts back it up.
     """
     A = as_matrix(A, name="A")
-    probs = scheme.probabilities(A)
-    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    if np.any(norms == 0.0):
+    row_sq = row_norms_sq(A)
+    probs = scheme.probabilities(row_sq)
+    if np.any(row_sq == 0.0):
         raise ZeroRow("contraction factor needs every row to have positive norm")
-    unit = A / norms[:, None]
+    unit = A / np.sqrt(row_sq)[:, None]
     n = A.shape[1]
     # Q = I - U^T diag(p) U, symmetric PSD with spectrum in [0, 1]
     Q = np.eye(n) - (unit * probs[:, None]).T @ unit

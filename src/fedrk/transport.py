@@ -8,8 +8,8 @@ one process or across processes.
 
 Clients introduce themselves after connecting with an empty Delta frame
 (zero-length payload array) carrying their client id; the server answers
-with that client's AssignPartition. Only participants of a round receive
-its Broadcast.
+with that client's AssignPartition, which also names the run's local
+sampling scheme. Only participants of a round receive its Broadcast.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .federation import (
     client_local_update,
     local_stream_seed,
     partition_system,
+    round_tol,
     run_rounds,
     sample_clients,
     trace_writer,
@@ -70,6 +71,8 @@ MSG_SHUTDOWN = 4
 _HEADER = struct.Struct("<2sBBI")
 # a Delta payload is round, client id and n (u32 each), then n float64s
 _DELTA_HEAD = 12
+# the local schemes an AssignPartition can carry, by their u32 wire code
+_SCHEMES = (SamplingScheme.squared_row_norm(), SamplingScheme.uniform())
 
 
 def _check_uint(value, bits, name):
@@ -91,11 +94,13 @@ class _Message:
 
 @dataclass(frozen=True, eq=False)
 class AssignPartition(_Message):
-    """Server -> client: the client's rows of the system."""
+    """Server -> client: the client's rows of the system and the run's
+    local sampling scheme (squared-row-norm or uniform)."""
 
     client_id: int
     A: np.ndarray
     b: np.ndarray
+    scheme: SamplingScheme = SamplingScheme.squared_row_norm()
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +139,14 @@ def encode(msg):
         rows, cols = A.shape
         if b.shape != (rows,):
             raise ValueError("b must have one entry per row of A")
+        if msg.scheme not in _SCHEMES:
+            raise ValueError(f"local scheme {msg.scheme.label()!r} cannot be sent to a client")
         payload = struct.pack(
-            "<III",
+            "<IIII",
             _check_uint(msg.client_id, 32, "client_id"),
             _check_uint(rows, 32, "rows"),
             _check_uint(cols, 32, "cols"),
+            _SCHEMES.index(msg.scheme),
         ) + _f64_bytes(A) + _f64_bytes(b)
         msg_type = MSG_ASSIGN
     elif isinstance(msg, Broadcast):
@@ -232,10 +240,13 @@ def decode(data):
         client_id = reader.u32()
         rows = reader.u32()
         cols = reader.u32()
+        code = reader.u32()
+        if code >= len(_SCHEMES):
+            raise CodecError(f"unknown local scheme code {code}", _HEADER.size + 12)
         a_flat = reader.f64_array(rows * cols)
         b = reader.f64_array(rows)
         reader.finish()
-        return AssignPartition(client_id, a_flat.reshape(rows, cols), b)
+        return AssignPartition(client_id, a_flat.reshape(rows, cols), b, _SCHEMES[code])
     if msg_type == MSG_BROADCAST:
         round_index = reader.u32()
         n = reader.u32()
@@ -278,9 +289,13 @@ class Endpoint:
 
 
 class ClientSession:
-    """Client-side protocol state machine, transport independent."""
+    """Client-side protocol state machine, transport independent.
 
-    def __init__(self, client_id, scheme=SamplingScheme.squared_row_norm()):
+    The local sampling scheme comes from the server's AssignPartition; a
+    ``scheme`` given here must match it.
+    """
+
+    def __init__(self, client_id, scheme=None):
         self.client_id = int(client_id)
         self.scheme = scheme
         self.block = None
@@ -294,6 +309,13 @@ class ClientSession:
                     f"partition for client {msg.client_id} delivered to {self.client_id}",
                     client_id=self.client_id,
                 )
+            if self.scheme is not None and self.scheme != msg.scheme:
+                raise RoundError(
+                    f"client {self.client_id} was started with scheme {self.scheme.label()} "
+                    f"but the run uses {msg.scheme.label()}",
+                    client_id=self.client_id,
+                )
+            self.scheme = msg.scheme
             self.block = LinearSystem(msg.A, msg.b)
             return []
         if isinstance(msg, Broadcast):
@@ -318,9 +340,9 @@ class ClientSession:
 class _LoopbackConnection:
     """In-process client that still round-trips every message through bytes."""
 
-    def __init__(self, client_id, scheme):
+    def __init__(self, client_id):
         self.client_id = client_id
-        self._session = ClientSession(client_id, scheme)
+        self._session = ClientSession(client_id)
         self._inbox = []
 
     def send(self, msg):
@@ -449,6 +471,10 @@ def _accept_clients(endpoint, clients, cols, timeout):
                 sock.close()
                 raise RoundError(f"bad or duplicate client id {cid}", client_id=cid)
             conns[cid] = _SocketConnection(sock, cid, _DELTA_HEAD + 8 * cols)
+    except BaseException:
+        for conn in conns.values():
+            conn.close()
+        raise
     finally:
         listener.close()
     return conns
@@ -485,10 +511,7 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     trace, on_round = trace_writer(system, config, x_ref)
 
     if endpoint.transport == "loopback":
-        conns = {
-            cid: _LoopbackConnection(cid, config.local_scheme)
-            for cid in range(config.clients)
-        }
+        conns = {cid: _LoopbackConnection(cid) for cid in range(config.clients)}
     elif endpoint.transport == "socket":
         conns = _accept_clients(endpoint, config.clients, system.cols, timeout)
     else:
@@ -502,12 +525,12 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
                 t, x, config.local_iters, local_stream_seed(config.master_seed, t, cid)
             ))
         deltas = [(cid, _recv_delta(conns[cid], t)) for cid in participants]
-        x_next, kept = apply_server_round(deltas, x, config, streams.server)
+        x_next, kept = apply_server_round(deltas, x, config, streams.server, round_tol(x))
         return x_next, participants, len(deltas) - len(kept)
 
     try:
         for cid, block in enumerate(blocks):
-            conns[cid].send(AssignPartition(cid, block.A, block.b))
+            conns[cid].send(AssignPartition(cid, block.A, block.b, config.local_scheme))
         x = run_rounds(system, config, x0, on_round, step)
     finally:
         for conn in conns.values():
@@ -519,8 +542,11 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     return x, trace
 
 
-def run_client(endpoint, client_id, scheme=SamplingScheme.squared_row_norm(), timeout=30.0):
-    """Join a socket-transport run as one client and serve until Shutdown."""
+def run_client(endpoint, client_id, scheme=None, timeout=30.0):
+    """Join a socket-transport run as one client and serve until Shutdown.
+
+    The local scheme is the server's; a ``scheme`` given here must match it.
+    """
     if endpoint.transport != "socket":
         raise ValueError("run_client only applies to the socket transport")
     session = ClientSession(client_id, scheme)

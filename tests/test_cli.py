@@ -111,38 +111,83 @@ def test_bad_usage_exit_code():
     assert main(["exp", "unknown-name", "--out", "x"]) == 2
 
 
-def test_solve_tcp_round_trip(small_problem, tmp_path):
-    a_path, b_path = small_problem
-    out_tcp = tmp_path / "tcp.csv"
-    out_loop = tmp_path / "loop.csv"
+def run_tcp_solve(solve_argv, client_extra):
+    """Run ``solve_argv`` as a TCP server with one ``fedrk client`` thread per
+    entry of ``client_extra`` (extra client arguments); returns the exit
+    codes, the server's under "server" and each client's under its id."""
     port = free_port()
     codes = {}
-
-    def serve():
-        codes["server"] = main(
-            solve_args(a_path, b_path, out_tcp, transport="tcp", port=port, timeout=10)
+    server = threading.Thread(
+        target=lambda: codes.setdefault(
+            "server", main(solve_argv + ["--transport", "tcp", "--port", str(port)])
         )
-
-    server = threading.Thread(target=serve)
+    )
     server.start()
     time.sleep(0.1)
     clients = [
         threading.Thread(
-            target=lambda cid=cid: codes.setdefault(
-                cid, main(["client", "--port", str(port), "--id", str(cid)])
+            target=lambda cid=cid, extra=extra: codes.setdefault(
+                cid, main(["client", "--port", str(port), "--id", str(cid), *extra])
             )
         )
-        for cid in range(3)
+        for cid, extra in enumerate(client_extra)
     ]
     for t in clients:
         t.start()
     server.join(timeout=60)
     for t in clients:
         t.join(timeout=60)
-    assert codes["server"] == 0
-    assert all(codes[cid] == 0 for cid in range(3))
+    return codes
+
+
+def test_solve_tcp_round_trip(small_problem, tmp_path):
+    a_path, b_path = small_problem
+    out_tcp = tmp_path / "tcp.csv"
+    out_loop = tmp_path / "loop.csv"
+    codes = run_tcp_solve(solve_args(a_path, b_path, out_tcp, timeout=10), [[]] * 3)
+    assert codes == {"server": 0, 0: 0, 1: 0, 2: 0}
     assert main(solve_args(a_path, b_path, out_loop)) == 0
     assert out_tcp.read_text() == out_loop.read_text()
+
+
+def _problem_12x6(tmp_path):
+    g = np.random.default_rng(7)
+    A = g.standard_normal((12, 6))
+    save_matrix_csv(tmp_path / "A.csv", A)
+    save_vector_csv(tmp_path / "b.csv", A @ g.standard_normal(6))
+    return tmp_path / "A.csv", tmp_path / "b.csv"
+
+
+def test_solve_tcp_clients_take_the_server_scheme(tmp_path):
+    a_path, b_path = _problem_12x6(tmp_path)
+
+    def args(out):
+        return solve_args(a_path, b_path, out, rounds=20, scheme="uniform", timeout=10)
+
+    codes = run_tcp_solve(args(tmp_path / "tcp.csv"), [[]] * 3)
+    assert codes == {"server": 0, 0: 0, 1: 0, 2: 0}
+    assert main(args(tmp_path / "loop.csv")) == 0
+    assert (tmp_path / "tcp.csv").read_text() == (tmp_path / "loop.csv").read_text()
+
+
+def test_solve_tcp_client_scheme_mismatch_is_runtime_error(tmp_path, capsys):
+    a_path, b_path = _problem_12x6(tmp_path)
+    argv = solve_args(
+        a_path, b_path, tmp_path / "tcp.csv", rounds=20, scheme="uniform", timeout=10
+    )
+    codes = run_tcp_solve(argv, [[], ["--scheme", "sqnorm"], []])
+    assert codes[1] == 3 and codes["server"] == 3
+    assert "client 1 was started with scheme sqnorm" in capsys.readouterr().err
+
+
+def test_solve_overflow_is_runtime_error(tmp_path, capsys):
+    # entries near 1e200 overflow the residual before any round runs
+    g = np.random.default_rng(3)
+    save_matrix_csv(tmp_path / "A.csv", 1e200 * g.standard_normal((12, 4)))
+    save_vector_csv(tmp_path / "b.csv", 1e200 * g.standard_normal(12))
+    args = solve_args(tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "trace.csv")
+    assert main(args) == 3
+    assert "round 0: the residual is not finite" in capsys.readouterr().err
 
 
 def test_solve_tcp_non_finite_delta_is_runtime_error(small_problem, tmp_path, capsys):

@@ -20,6 +20,7 @@ from fedrk.core import (
     load_matrix_csv,
     load_vector_csv,
     rk_step,
+    row_norms_sq,
     sample_row,
     sample_rows,
     save_dmat,
@@ -209,7 +210,7 @@ def test_sample_rows_squared_norm_frequencies():
 
 def test_squared_norm_probabilities_exact():
     m = as_matrix([[3.0, 4.0], [0.0, 2.0], [1.0, 0.0]])
-    p = SamplingScheme.squared_row_norm().probabilities(m)
+    p = SamplingScheme.squared_row_norm().probabilities(row_norms_sq(m))
     expected = np.array([25.0, 4.0, 1.0]) / 30.0
     assert np.all(np.abs(p - expected) <= 1e-12 * expected)
 
@@ -223,7 +224,7 @@ def test_sampling_errors():
     with pytest.raises(WeightError):
         SamplingScheme.custom([0.0, 0.0])
     with pytest.raises(DimensionMismatch):
-        SamplingScheme.custom([1.0, 1.0, 1.0]).probabilities(zeros[:2])
+        SamplingScheme.custom([1.0, 1.0, 1.0]).probabilities(row_norms_sq(zeros[:2]))
 
 
 def test_custom_scheme_frequencies():

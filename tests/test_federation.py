@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedrk.core import RngStream, SamplingScheme
-from fedrk.errors import DimensionMismatch, RoundError, TooManyClients
+from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients
 from fedrk.federation import (
     FedTrace,
     Partition,
@@ -16,6 +16,7 @@ from fedrk.federation import (
     fed_round,
     fed_run,
     partition_system,
+    run_rounds,
     sample_clients,
     server_solve,
 )
@@ -201,15 +202,51 @@ def test_build_server_system_non_finite_delta_names_client(bad):
     assert err.value.client_id == 3
 
 
+def test_build_server_system_overflowing_d_names_client():
+    # ||delta||^2 is finite but <delta, delta + x> overflows
+    deltas = [(0, np.ones(2)), (5, np.array([1e154, 0.0]))]
+    with pytest.raises(NumericalError) as err:
+        build_server_system(deltas, np.array([1e155, 0.0]), 1e-12)
+    assert err.value.client_id == 5
+
+
+def test_apply_server_round_rejects_non_finite_iterate(monkeypatch):
+    import fedrk.federation as federation
+
+    monkeypatch.setattr(federation, "_server_rk", lambda *args: np.array([np.inf, 0.0]))
+    x = np.array([1.0, 2.0])
+    with pytest.raises(NumericalError) as err:
+        federation.apply_server_round(
+            [(0, np.ones(2))], x, config(sparsity=1), RngStream(0), federation.round_tol(x)
+        )
+    assert err.value.client_id is None
+
+
+def test_overflowing_client_is_named_with_its_round():
+    # client 2's right-hand side drives its local iterate to ~1e300, whose
+    # squared norm overflows; the run skips the residual, so the round's
+    # server half is the first to see it
+    g = np.random.default_rng(5)
+    A = g.standard_normal((6, 2))
+    b = A @ g.standard_normal(2)
+    b[4:] = 1e300
+    cfg = config(clients=3, participants=3, local_iters=5, global_iters=2, rounds=3)
+    with pytest.raises(NumericalError) as err:
+        run_rounds(LinearSystem(A, b), cfg, np.zeros(2), lambda *args: None)
+    assert (err.value.client_id, err.value.round_index) == (2, 1)
+    assert str(err.value).startswith("round 1: client 2")
+
+
 def test_apply_server_round_arrival_order_independent():
-    from fedrk.federation import apply_server_round
+    from fedrk.federation import apply_server_round, round_tol
 
     g = np.random.default_rng(73)
     x = g.standard_normal(4)
     deltas = [(cid, g.standard_normal(4)) for cid in range(3)]
     cfg = config(clients=3, participants=3, global_iters=6)
-    forward, kept_a = apply_server_round(list(deltas), x, cfg, RngStream(1, (0,)))
-    backward, kept_b = apply_server_round(deltas[::-1], x, cfg, RngStream(1, (0,)))
+    tol = round_tol(x)
+    forward, kept_a = apply_server_round(list(deltas), x, cfg, RngStream(1, (0,)), tol)
+    backward, kept_b = apply_server_round(deltas[::-1], x, cfg, RngStream(1, (0,)), tol)
     assert np.array_equal(forward, backward)
     assert kept_a == kept_b
 

@@ -11,9 +11,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedrk.core import SamplingScheme
-from fedrk.experiments import ExperimentSpec, run_lsq_experiment, run_prostate_experiment
-from fedrk.federation import RunConfig, fed_run
+from fedrk.core import RngStream, SamplingScheme
+from fedrk.experiments import (
+    ExperimentSpec,
+    run_convergence_experiment,
+    run_lsq_experiment,
+    run_prostate_experiment,
+)
+from fedrk.federation import RoundStreams, RunConfig, fed_round, fed_run
 from fedrk.solver import LinearSystem
 from fedrk.transport import Endpoint, run_server
 from test_experiments import synthetic_prostate_file
@@ -73,6 +78,49 @@ def run_loopback():
     return trace.csv_text()
 
 
+def run_paper_shaped():
+    # 8 blocks of 100 rows, n=512, tau=Gamma=20
+    system, x_star = gaussian(800, 512, 5)
+    cfg = RunConfig(
+        clients=8, participants=3, local_iters=20, global_iters=20, rounds=12,
+        master_seed=505,
+    )
+    _, trace = fed_run(system, cfg, np.zeros(512), x_ref=x_star)
+    return trace.csv_text()
+
+
+def run_loopback_wide():
+    # the TCP workload's shape: two clients on a wide system, tau=Gamma=4
+    system, _ = gaussian(16, 256, 6)
+    cfg = RunConfig(
+        clients=2, participants=2, local_iters=4, global_iters=4, rounds=40,
+        master_seed=606,
+    )
+    _, trace = run_server(Endpoint.loopback(), system, cfg)
+    return trace.csv_text()
+
+
+def run_shared_stream_rounds():
+    # acceptance criterion 3's shape: one-row clients, one stream shared by
+    # selection, local runs and the server; inconsistent rows keep x moving
+    g = np.random.default_rng(707)
+    blocks = [
+        LinearSystem(g.standard_normal((1, 3)), g.standard_normal(1)) for _ in range(5)
+    ]
+    stream = RngStream(70707)
+    streams = RoundStreams(select=stream, server=stream, local_stream=lambda cid: stream)
+    x = g.standard_normal(3)
+    seen = hashlib.sha256()
+    for participants in (3, 1):
+        cfg = RunConfig(
+            clients=5, participants=participants, local_iters=2, global_iters=1, rounds=1,
+        )
+        for _ in range(500):
+            x, _, _ = fed_round(blocks, x, cfg, streams)
+            seen.update(x.tobytes())
+    return seen.hexdigest() + x.tobytes().hex()
+
+
 def run_lsq(tmp_path):
     spec = ExperimentSpec.lsq(
         m=48, n=6, clients=3, participants=3, rounds=40, trials=2, augment_cols=(0, 6),
@@ -80,6 +128,15 @@ def run_lsq(tmp_path):
     )
     run_lsq_experiment(spec, out_dir=tmp_path)
     return (tmp_path / "lsq_horizons.csv").read_text()
+
+
+def run_convergence(tmp_path):
+    spec = ExperimentSpec.convergence(
+        m=96, n=24, clients=4, participants=2, rounds=15, trials=2, tau_list=(3, 7),
+        seed=808,
+    )
+    run_convergence_experiment(spec, out_dir=tmp_path)
+    return (tmp_path / "convergence.csv").read_text()
 
 
 def run_prostate(tmp_path):
@@ -103,9 +160,21 @@ GOLDEN = {
     "run_server_loopback": (run_loopback,
         "f1caa49084b390267a4068f03b5c72ab2afff2f88fc7cfcc9dfa3a16ae785a36",
     ),
+    "fed_run_paper_shaped": (run_paper_shaped,
+        "fff2baca35c08216142fa5c02b212fec2b4236c0714bfbe356f6f7ecd1b9c489",
+    ),
+    "run_server_loopback_wide": (run_loopback_wide,
+        "844dd253a3fedf4b067ec8c93c991118f91b1f990c9a4c17435d9ccaef270244",
+    ),
+    "fed_round_shared_stream": (run_shared_stream_rounds,
+        "37fedb256405b9462c7c0a62baee9955850b6d91acd3946d20af1403ae1a96e0",
+    ),
 }
 
 GOLDEN_FILES = {
+    "convergence": (run_convergence,
+        "d4f25dfde07198fa8a35c4ac36dad7fb2af3b6ab0021d9698cf5d2631e824ead",
+    ),
     "lsq_horizons": (run_lsq,
         "dc6e5af711a942683e8ae9f35aa42d634fecd894757a37572a1b0744c4dbec98",
     ),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedrk.core import RngStream, SamplingScheme, rk_step
+from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq
 from fedrk.errors import DimensionMismatch, WeightError, ZeroRow
 from fedrk.solver import (
     IterateTrace,
@@ -158,7 +158,7 @@ def test_contraction_factor_matches_grid_maximum():
     ys = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     for seed, scheme in [(0, UNIFORM), (1, SQNORM), (2, UNIFORM)]:
         A = np.random.default_rng(seed).standard_normal((4, 2))
-        probs = scheme.probabilities(A)
+        probs = scheme.probabilities(row_norms_sq(A))
         rows = [A[j] for j in range(4)]
         alpha = contraction_factor(A, scheme)
         grid_max = max(decay_functional(rows, probs, y) for y in ys)
@@ -172,7 +172,7 @@ def test_expected_step_decay_identity():
         A = g.standard_normal((5, 3))
         x = g.standard_normal(3)
         for scheme in (UNIFORM, SQNORM):
-            probs = scheme.probabilities(A)
+            probs = scheme.probabilities(row_norms_sq(A))
             expected = 0.0
             for j in range(5):
                 step = rk_step(A[j], 0.0, x)

@@ -18,7 +18,7 @@ from fedrk.errors import (
     RoundError,
     Truncated,
 )
-from fedrk.federation import RunConfig, fed_run
+from fedrk.federation import RunConfig, client_local_update, fed_run
 from fedrk.solver import LinearSystem
 from fedrk.transport import (
     AssignPartition,
@@ -89,6 +89,7 @@ def test_broadcast_payload_length():
 def test_round_trip_examples():
     msgs = [
         AssignPartition(3, np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])),
+        AssignPartition(0, np.ones((1, 3)), np.zeros(1), SamplingScheme.uniform()),
         Broadcast(7, np.array([-1.5, 2.5]), 20, 2**63 + 11),
         Delta(9, 4, np.array([0.0, -0.0, 3.25])),
         Delta(0, 1, np.zeros(0)),  # the hello frame
@@ -184,8 +185,18 @@ def test_encode_rejects_out_of_range_fields():
         encode(Broadcast(0, np.zeros(1), 2**32, 0))
     with pytest.raises(ValueError):
         encode(Broadcast(0, np.zeros(1), 0, 2**64))
+    with pytest.raises(ValueError):
+        encode(AssignPartition(0, np.ones((1, 2)), np.ones(1), SamplingScheme.custom([1.0])))
     with pytest.raises(TypeError):
         encode("not a message")
+
+
+def test_decode_unknown_scheme_code():
+    frame = bytearray(encode(AssignPartition(1, np.ones((1, 2)), np.ones(1))))
+    frame[8 + 12] = 2  # the scheme code after client id, rows and cols
+    with pytest.raises(CodecError) as err:
+        decode(bytes(frame))
+    assert err.value.offset == 20
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +214,27 @@ def test_client_session_round():
     assert isinstance(delta, Delta)
     assert delta.round_index == 0 and delta.client_id == 2
     # the delta reproduces client_local_update with the same stream seed
-    from fedrk.federation import client_local_update
-
     expected = client_local_update(
         block, x, 5, SamplingScheme.squared_row_norm(), RngStream(12345)
     )
     assert np.array_equal(delta.delta, expected)
     assert session.handle(Shutdown()) == []
     assert session.done
+
+
+def test_client_session_takes_scheme_from_server():
+    block, _ = gaussian_consistent(4, 3, 5)
+    uniform = SamplingScheme.uniform()
+    session = ClientSession(0)
+    session.handle(AssignPartition(0, block.A, block.b, uniform))
+    delta = session.handle(Broadcast(0, np.zeros(3), 6, 99))[0].delta
+    expected = client_local_update(block, np.zeros(3), 6, uniform, RngStream(99))
+    assert np.array_equal(delta, expected)
+
+    pinned = ClientSession(4, SamplingScheme.squared_row_norm())
+    with pytest.raises(RoundError) as err:
+        pinned.handle(AssignPartition(4, block.A, block.b, uniform))
+    assert err.value.client_id == 4
 
 
 def test_client_session_rejects_misrouted_partition():
@@ -517,9 +541,13 @@ def test_socket_duplicate_client_id_rejected():
         write_frame(sock, Delta(0, 1, np.zeros(0)))  # both claim id 1
         socks.append(sock)
     server.join(timeout=30)
+    # the server closed the socket of the client that had already joined
+    socks[0].settimeout(2.0)
+    first_read = socks[0].recv(1)
     for sock in socks:
         sock.close()
     assert isinstance(result.get("error"), RoundError)
+    assert first_read == b""
 
 
 def test_run_client_rejects_loopback_endpoint():
