@@ -26,7 +26,7 @@ from .core import (
     zero_row_tol,
 )
 from .errors import DimensionMismatch, FedRKError, NumericalError, RoundError, TooManyClients
-from .solver import LinearSystem, _as_point, rk_iterate
+from .solver import LinearSystem, _as_point, gram_matrix, rk_iterate
 
 __all__ = [
     "TAG_SELECT",
@@ -199,6 +199,11 @@ class ServerRoundSystem(NamedTuple):
     def kaczmarz_setup(self, scheme):
         """The set-up :func:`rk_iterate` reads; the build computed all but the CDF."""
         return self.delta_rows, self.d, self.row_sq, scheme.cdf(np.array(self.row_sq))
+
+    def dual_setup(self):
+        """``(rows, d, Gram matrix)`` for the dual kernel of :func:`rk_iterate`."""
+        rows = np.array(self.delta_rows)
+        return rows, np.array(self.d), gram_matrix(rows, self.row_sq)
 
 
 @dataclass

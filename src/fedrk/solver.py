@@ -1,6 +1,7 @@
 """Classic randomized Kaczmarz runs and their decay diagnostics."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,11 @@ class LinearSystem:
                 f"A has {A.shape[0]} rows but b has {b.size} entries"
             )
         row_sq = row_norms_sq(A)
+        overflow = ~np.isfinite(row_sq)
+        if overflow.any():
+            raise ValueError(
+                f"row {int(overflow.argmax())} of A has a squared norm that overflows"
+            )
         if not np.any(row_sq > 0.0):
             raise ZeroRow("system needs at least one row with positive norm")
         object.__setattr__(self, "A", A)
@@ -54,6 +60,15 @@ class LinearSystem:
             lists = list(self.A), self.b.tolist(), self.row_sq.tolist()
             self._setups[scheme] = (*lists, scheme.cdf(self.row_sq))
         return self._setups[scheme]
+
+    @cached_property
+    def gram(self):
+        """:func:`gram_matrix` of the rows, built on first use."""
+        return gram_matrix(self.A, self.row_sq)
+
+    def dual_setup(self):
+        """``(A, b, Gram matrix)`` for the dual kernel of :func:`rk_iterate`."""
+        return self.A, self.b, self.gram
 
     @property
     def rows(self):
@@ -121,22 +136,32 @@ class IterateTrace:
         return cls(np.array(steps), np.array(values), kind=kind)
 
 
-def rk_iterate(system, x, dead_tol, iters, scheme, rng, on_step=None):
-    """Unvalidated RK loop on ``system.kaczmarz_setup``; mutates and returns ``x``.
+def gram_matrix(A, row_sq):
+    """``A Aᵀ`` with the rows' squared norms ``row_sq`` on its diagonal."""
+    G = A @ A.T
+    np.fill_diagonal(G, row_sq)
+    return G
 
-    ``dead_tol`` is compared against squared row norms. Shared by
-    :func:`rk_run` and the federation hot path so both produce bit-identical
-    iterates.
-    """
-    rows, b_list, sq_list, cdf = system.kaczmarz_setup(scheme)
-    if len(rows) == 1 and scheme.weights is None:
+
+# sampled rows per triangular solve in the dual kernel
+_CHUNK = 32
+_LOWER = np.tri(_CHUNK)
+
+
+def _sampled_rows(setup, iters, scheme, rng):
+    """A run's row indices: one draw of ``iters`` uniforms on ``rng``."""
+    if len(setup[0]) == 1 and scheme.weights is None:
         # every draw lands on row 0; skip the stream entirely
-        index_list = [0] * int(iters)
-    else:
-        index_list = sample_rows(scheme, rng, None, iters, cdf).tolist()
+        return np.zeros(iters, dtype=np.intp)
+    return sample_rows(scheme, rng, None, iters, setup[3])
+
+
+def _rk_sequential(setup, x, dead_tol, indices, on_step=None):
+    """One projection per sampled row, in order: the reference kernel."""
+    rows, b_list, sq_list, _ = setup
     tmp = np.empty_like(x)
     dot, mul, add = np.dot, np.multiply, np.add
-    for j in index_list:
+    for j in indices.tolist():
         sq = sq_list[j]
         if sq <= dead_tol:
             raise ZeroRow(f"sampled row {j} is numerically zero")
@@ -146,6 +171,49 @@ def rk_iterate(system, x, dead_tol, iters, scheme, rng, on_step=None):
         if on_step is not None:
             on_step(x)
     return x
+
+
+def _rk_dual(system, x, dead_tol, indices):
+    """The same projections as coordinate descent on x = x0 + Aᵀc.
+
+    Keeps the residual r = b - A x. The steps of a chunk J of sampled rows
+    solve the lower triangle of G[J, J] against r[J]; then r -= G[:, J]
+    steps, and x takes Aᵀc once at the end.
+    """
+    A, b, G = system.dual_setup()
+    dead = G.diagonal()[indices] <= dead_tol
+    if dead.any():
+        raise ZeroRow(f"sampled row {indices[dead.argmax()]} is numerically zero")
+    r = b - A @ x
+    steps = np.empty(indices.size)
+    solve = np.linalg.solve
+    for k in range(0, indices.size, _CHUNK):
+        J = indices[k:k + _CHUNK]
+        GJ = G[J]
+        t = J.size
+        s = solve(GJ[:, J] * _LOWER[:t, :t], r[J])
+        r -= s @ GJ
+        steps[k:k + t] = s
+    x += np.bincount(indices, weights=steps, minlength=b.size) @ A
+    return x
+
+
+def rk_iterate(system, x, dead_tol, iters, scheme, rng, on_step=None):
+    """Unvalidated RK run on ``system``; mutates and returns ``x``.
+
+    ``dead_tol`` is compared against squared row norms. All of the run's
+    row indices are drawn up front, in one call on ``rng``. With no
+    ``on_step``, a run of at least 32 steps on a block with no more rows
+    than steps or columns goes to the dual kernel, whose Gram matrix is
+    then no larger than the block and paid for by the run; it agrees with
+    the sequential kernel of :func:`rk_run` to rounding. Every other run is
+    that sequential kernel.
+    """
+    setup = system.kaczmarz_setup(scheme)
+    indices = _sampled_rows(setup, iters, scheme, rng)
+    if on_step is None and iters >= _CHUNK and len(setup[0]) <= min(iters, x.size):
+        return _rk_dual(system, x, dead_tol, indices)
+    return _rk_sequential(setup, x, dead_tol, indices, on_step)
 
 
 def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
@@ -164,9 +232,11 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
         x_ref = _as_point(system, x_ref, "x_ref")
 
     dead_tol = zero_row_tol(float(np.linalg.norm(x))) ** 2
+    setup = system.kaczmarz_setup(scheme)
+    indices = _sampled_rows(setup, iters, scheme, rng)
 
     if not record:
-        x = rk_iterate(system, x, dead_tol, iters, scheme, rng)
+        x = _rk_sequential(setup, x, dead_tol, indices)
         return x, IterateTrace(np.array([], dtype=np.int64), np.array([]), kind="none")
 
     def current_value(point):
@@ -175,8 +245,8 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
         return system.residual_norm(point)
 
     values = [current_value(x)]
-    x = rk_iterate(
-        system, x, dead_tol, iters, scheme, rng,
+    x = _rk_sequential(
+        setup, x, dead_tol, indices,
         on_step=lambda point: values.append(current_value(point)),
     )
     trace = IterateTrace(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -73,6 +74,8 @@ _HEADER = struct.Struct("<2sBBI")
 _DELTA_HEAD = 12
 # the local schemes an AssignPartition can carry, by their u32 wire code
 _SCHEMES = (SamplingScheme.squared_row_norm(), SamplingScheme.uniform())
+# pause between a client's attempts to reach a server that is not listening yet
+_CONNECT_RETRY_S = 0.01
 
 
 def _check_uint(value, bits, name):
@@ -542,15 +545,30 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     return x, trace
 
 
+def _connect(endpoint, timeout):
+    """A connection to the server, retrying a refused one until ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            # closes its socket when the attempt fails
+            return socket.create_connection((endpoint.host, endpoint.port), timeout=timeout)
+        except ConnectionRefusedError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(_CONNECT_RETRY_S)
+
+
 def run_client(endpoint, client_id, scheme=None, timeout=30.0):
     """Join a socket-transport run as one client and serve until Shutdown.
 
-    The local scheme is the server's; a ``scheme`` given here must match it.
+    A client may start before the server listens: it retries a refused
+    connection until ``timeout``. The local scheme is the server's; a
+    ``scheme`` given here must match it.
     """
     if endpoint.transport != "socket":
         raise ValueError("run_client only applies to the socket transport")
     session = ClientSession(client_id, scheme)
-    sock = socket.create_connection((endpoint.host, endpoint.port), timeout=timeout)
+    sock = _connect(endpoint, timeout)
     sock.settimeout(timeout)
     try:
         # hello: an empty delta carrying our id

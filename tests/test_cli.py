@@ -181,13 +181,24 @@ def test_solve_tcp_client_scheme_mismatch_is_runtime_error(tmp_path, capsys):
 
 
 def test_solve_overflow_is_runtime_error(tmp_path, capsys):
-    # entries near 1e200 overflow the residual before any round runs
+    # a right-hand side near 1e200 overflows the residual before any round runs
     g = np.random.default_rng(3)
-    save_matrix_csv(tmp_path / "A.csv", 1e200 * g.standard_normal((12, 4)))
+    save_matrix_csv(tmp_path / "A.csv", g.standard_normal((12, 4)))
     save_vector_csv(tmp_path / "b.csv", 1e200 * g.standard_normal(12))
     args = solve_args(tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "trace.csv")
     assert main(args) == 3
     assert "round 0: the residual is not finite" in capsys.readouterr().err
+
+
+def test_solve_overflowing_row_norm_is_config_error(tmp_path, capsys):
+    # rows near 1e160 have squared norms that overflow: rejected before any round
+    g = np.random.default_rng(3)
+    save_matrix_csv(tmp_path / "A.csv", 1e160 * g.standard_normal((12, 4)))
+    save_vector_csv(tmp_path / "b.csv", g.standard_normal(12))
+    args = solve_args(tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "trace.csv")
+    assert main(args) == 2
+    assert "row 0 of A has a squared norm that overflows" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_solve_tcp_non_finite_delta_is_runtime_error(small_problem, tmp_path, capsys):

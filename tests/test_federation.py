@@ -290,15 +290,23 @@ def test_server_solve_orthogonal_rows_reach_intersection():
 # fed_round / fed_run
 # ---------------------------------------------------------------------------
 
-def test_fed_round_fixed_point_at_solution():
-    system, x_star = gaussian_consistent(8, 3, 41)
+# shape = (rows, cols, tau = Gamma). Each *_dual_kernel variant has tau >= 32
+# and no more rows per block than min(tau, cols), so rk_iterate takes its
+# dual kernel there.
+def test_fed_round_fixed_point_at_solution(shape=(8, 3, 10)):
+    rows, cols, iters = shape
+    system, x_star = gaussian_consistent(rows, cols, 41)
     blocks = client_blocks(system, partition_system(system, 2))
-    cfg = config(rounds=1)
+    cfg = config(rounds=1, local_iters=iters, global_iters=iters)
     streams = RoundStreams.derive(cfg.master_seed, 0)
     x_next, participants, dropped = fed_round(blocks, x_star, cfg, streams)
     assert np.array_equal(x_next, x_star)
     assert participants == [0, 1]
     assert dropped == 2  # both deltas were zero and dropped
+
+
+def test_fed_round_fixed_point_at_solution_dual_kernel():
+    test_fed_round_fixed_point_at_solution((8, 40, 40))
 
 
 def test_fed_round_axes_contract_to_origin():
@@ -411,24 +419,37 @@ def test_fed_run_monotone_contraction_in_expectation():
     assert np.all(ratios.mean(axis=0) < 1.0)
 
 
-def test_fed_run_zero_delta_round_is_fixed_point():
-    system, x_star = gaussian_consistent(10, 4, 53)
-    cfg = config(clients=2, participants=2, rounds=5)
+def test_fed_run_zero_delta_round_is_fixed_point(shape=(10, 4, 10)):
+    rows, cols, iters = shape
+    system, x_star = gaussian_consistent(rows, cols, 53)
+    cfg = config(clients=2, participants=2, rounds=5, local_iters=iters, global_iters=iters)
     x, trace = fed_run(system, cfg, x_star, x_ref=x_star)
     assert np.array_equal(x, x_star)
     assert all(err == 0.0 for err in trace.errors)
     assert all(drop == 2 for drop in trace.dropped[1:])
 
 
-def test_fed_run_scale_equivariance_exact_power_of_two():
-    system, _ = gaussian_consistent(12, 4, 59)
+def test_fed_run_zero_delta_round_is_fixed_point_dual_kernel():
+    test_fed_run_zero_delta_round_is_fixed_point((10, 40, 40))
+
+
+def test_fed_run_scale_equivariance_exact_power_of_two(shape=(12, 4, 10)):
+    rows, cols, iters = shape
+    system, _ = gaussian_consistent(rows, cols, 59)
     scaled = LinearSystem(system.A, 2.0 * system.b)
-    cfg = config(clients=3, participants=2, rounds=8, master_seed=5)
-    x0 = np.arange(1.0, 5.0)
+    cfg = config(
+        clients=3, participants=2, rounds=8, master_seed=5,
+        local_iters=iters, global_iters=iters,
+    )
+    x0 = np.arange(1.0, cols + 1.0)
     x1, t1 = fed_run(system, cfg, x0)
     x2, t2 = fed_run(scaled, cfg, 2.0 * x0)
     assert np.array_equal(2.0 * x1, x2)
     assert np.array_equal(2.0 * np.array(t1.residuals), np.array(t2.residuals))
+
+
+def test_fed_run_scale_equivariance_exact_power_of_two_dual_kernel():
+    test_fed_run_scale_equivariance_exact_power_of_two((12, 40, 40))
 
 
 def test_fed_run_scale_equivariance_general():

@@ -3,7 +3,9 @@
 Any change to the bits a run produces fails here; a change meant to alter
 them records new digests and says why. Scope: the digests hold for one
 numpy/BLAS build (recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64);
-another build may round differently and then needs its own digests.
+another build may round differently and then needs its own digests. The
+bits of runs on rk_iterate's dual kernel (here only the underdetermined
+run) also depend on the LAPACK behind ``np.linalg.solve`` in that build.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedrk.core import RngStream, SamplingScheme
+from fedrk.core import RngStream, SamplingScheme, derive_seed
 from fedrk.experiments import (
     ExperimentSpec,
     run_convergence_experiment,
@@ -121,6 +123,21 @@ def run_shared_stream_rounds():
     return seen.hexdigest() + x.tobytes().hex()
 
 
+def run_underdetermined():
+    # acceptance criterion 5's first system for 5 rounds: 10x100 client
+    # blocks and a 4-row server system with tau=Gamma=2000, all on the dual kernel
+    g = RngStream(505, ("underdet", 0)).generator
+    A = g.standard_normal((40, 100))
+    system = LinearSystem(A, A @ g.standard_normal(100))
+    x0 = g.standard_normal(100)
+    cfg = RunConfig(
+        clients=4, participants=4, local_iters=2000, global_iters=2000, rounds=5,
+        master_seed=derive_seed(505, "run", 0),
+    )
+    x, trace = fed_run(system, cfg, x0)
+    return trace.csv_text() + x.tobytes().hex()
+
+
 def run_lsq(tmp_path):
     spec = ExperimentSpec.lsq(
         m=48, n=6, clients=3, participants=3, rounds=40, trials=2, augment_cols=(0, 6),
@@ -168,6 +185,9 @@ GOLDEN = {
     ),
     "fed_round_shared_stream": (run_shared_stream_rounds,
         "37fedb256405b9462c7c0a62baee9955850b6d91acd3946d20af1403ae1a96e0",
+    ),
+    "fed_run_underdetermined_dual": (run_underdetermined,
+        "ad9283ad9542c9df47407848a126305ce7802f78b235ebd61a6d6f706c11e802",
     ),
 }
 

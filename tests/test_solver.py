@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq
+import fedrk.solver as solver
+from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq, zero_row_tol
 from fedrk.errors import DimensionMismatch, WeightError, ZeroRow
+from fedrk.federation import build_server_system
 from fedrk.solver import (
     IterateTrace,
     LinearSystem,
     contraction_factor,
     decay_functional,
     fit_decay_rate,
+    rk_iterate,
     rk_run,
 )
 
@@ -36,6 +39,16 @@ def test_linear_system_validation():
         LinearSystem(np.zeros((2, 2)), np.zeros(2))
     system = LinearSystem([[0.0, 0.0], [1.0, 2.0]], [0.0, 1.0])
     assert system.rows == 2 and system.cols == 2
+
+
+def test_linear_system_rejects_overflowing_row_norm():
+    # entries near 1e160 are finite, but their squared norms are not
+    A = np.ones((12, 4))
+    A[3] = 1e160
+    A[7, 0] = -1e160
+    with pytest.raises(ValueError, match="row 3 of A has a squared norm that overflows"):
+        LinearSystem(A, np.ones(12))
+    LinearSystem(1e150 * A[:3], np.ones(3))  # squares near 1e300 still fit
 
 
 def test_iterate_trace_validation_and_csv(tmp_path):
@@ -131,6 +144,116 @@ def test_rk_run_dimension_mismatch():
     system, _ = gaussian_consistent(5, 3, 10)
     with pytest.raises(DimensionMismatch):
         rk_run(system, np.zeros(4), 5, SQNORM, RngStream(0))
+
+
+# ---------------------------------------------------------------------------
+# rk_iterate: the dual kernel against the sequential one
+# ---------------------------------------------------------------------------
+
+def _no_step(x):
+    pass
+
+
+def both_kernels(system, x0, iters, scheme, seed):
+    """rk_iterate's own choice of kernel, and its sequential kernel (an on_step
+    forces it), on the same stream."""
+    dead_tol = zero_row_tol(float(np.linalg.norm(x0))) ** 2
+    chosen = rk_iterate(system, x0.copy(), dead_tol, iters, scheme, RngStream(seed))
+    sequential = rk_iterate(
+        system, x0.copy(), dead_tol, iters, scheme, RngStream(seed), on_step=_no_step
+    )
+    return chosen, sequential
+
+
+def derived_system(rows, cols, seed):
+    # the server's derived system from ``rows`` random model changes
+    g = np.random.default_rng(seed)
+    x = g.standard_normal(cols)
+    deltas = [(cid, g.standard_normal(cols)) for cid in range(rows)]
+    return build_server_system(deltas, x, 0.0), x
+
+
+def dual_cases():
+    g = np.random.default_rng(2024)
+    for _ in range(40):
+        rows = int(g.integers(1, 12))
+        cols = int(g.integers(rows, 60))
+        iters = int(g.integers(max(32, rows), 300))
+        A = g.standard_normal((rows, cols)) * float(g.choice([1e-3, 1.0, 1e4]))
+        consistent = g.random() < 0.5
+        b = A @ g.standard_normal(cols) if consistent else g.standard_normal(rows)
+        scheme = UNIFORM if g.random() < 0.5 else SQNORM
+        yield LinearSystem(A, b), g.standard_normal(cols), iters, scheme
+    # repeated rows in every chunk; tau not a multiple of 32
+    A = np.random.default_rng(1).standard_normal((2, 5))
+    yield LinearSystem(A, np.array([1.0, -2.0])), np.zeros(5), 77, UNIFORM
+    # a single row sampled uniformly: no draw at all
+    yield LinearSystem(A[:1], np.array([3.0])), np.ones(5), 40, UNIFORM
+    # the server's derived system, sampled uniformly
+    for rows, cols, iters in ((4, 100, 2000), (5, 5, 33), (1, 8, 64)):
+        srs, x = derived_system(rows, cols, rows + cols)
+        yield srs, x, iters, UNIFORM
+
+
+def test_dual_kernel_matches_sequential(monkeypatch):
+    calls = []
+    dual = solver._rk_dual
+    monkeypatch.setattr(solver, "_rk_dual", lambda *args: calls.append(1) or dual(*args))
+    cases = list(dual_cases())
+    for system, x0, iters, scheme in cases:
+        chosen, sequential = both_kernels(system, x0, iters, scheme, iters)
+        tol = 1e-12 * (1.0 + np.linalg.norm(sequential))
+        assert np.max(np.abs(chosen - sequential)) <= tol
+    assert len(calls) == len(cases)
+
+
+@pytest.mark.parametrize("rows, cols, iters", [(6, 20, 31), (30, 20, 64), (21, 20, 40)])
+def test_outside_the_dual_rule_runs_are_bit_identical(rows, cols, iters):
+    # fewer than 32 steps, or more rows than columns: the sequential kernel
+    g = np.random.default_rng(rows + cols + iters)
+    A = g.standard_normal((rows, cols))
+    system = LinearSystem(A, A @ g.standard_normal(cols))
+    x0 = g.standard_normal(cols)
+    chosen, sequential = both_kernels(system, x0, iters, SQNORM, 5)
+    assert np.array_equal(chosen, sequential)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_rk_run_is_the_sequential_kernel_on_dual_shapes(record):
+    system, _ = gaussian_consistent(10, 100, 12)
+    x0 = np.ones(100)
+    x, _ = rk_run(system, x0, 2000, SQNORM, RngStream(4), record=record)
+    _, sequential = both_kernels(system, x0, 2000, SQNORM, 4)
+    assert np.array_equal(x, sequential)
+
+
+def test_dual_kernel_consumes_the_same_draws():
+    # shared-stream rounds depend on the next draw after a local run
+    system, _ = gaussian_consistent(10, 100, 13)
+    dead_tol = zero_row_tol(0.0) ** 2
+    nexts = []
+    for on_step in (None, _no_step):
+        stream = RngStream(99)
+        rk_iterate(system, np.zeros(100), dead_tol, 70, SQNORM, stream, on_step)
+        nexts.append(stream.generator.random())
+    assert nexts[0] == nexts[1]
+
+
+def test_zero_row_has_the_same_message_in_both_kernels():
+    # two zero rows: the error names whichever is sampled first
+    A = np.zeros((3, 4))
+    A[0, 0] = 1.0
+    system = LinearSystem(A, np.array([1.0, 0.0, 0.0]))
+    named = set()
+    for seed in range(6):
+        messages = []
+        for on_step in (None, _no_step):
+            with pytest.raises(ZeroRow) as err:
+                rk_iterate(system, np.zeros(4), 1e-24, 64, UNIFORM, RngStream(seed), on_step)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        named.add(messages[0])
+    assert named == {"sampled row 1 is numerically zero", "sampled row 2 is numerically zero"}
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,44 @@ def test_socket_matches_loopback():
     assert trace_loop.csv_text() == trace_sock.csv_text()
 
 
+def test_client_started_before_server_waits_for_it():
+    # the client starts first and retries its refused connection
+    system, x_star = gaussian_consistent(12, 4, 15)
+    cfg = RunConfig(
+        clients=2, participants=2, local_iters=3, global_iters=3, rounds=4, master_seed=8,
+    )
+    port = free_port()
+    errors = []
+
+    def client(cid):
+        try:
+            run_client(Endpoint.client("127.0.0.1", port), cid, timeout=10.0)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    clients = [threading.Thread(target=client, args=(cid,)) for cid in range(2)]
+    for thread in clients:
+        thread.start()
+    time.sleep(0.2)
+    x_sock, trace_sock = run_server(
+        Endpoint.server("127.0.0.1", port), system, cfg, x_ref=x_star, timeout=10.0
+    )
+    for thread in clients:
+        thread.join(timeout=30)
+    assert errors == [] and not any(thread.is_alive() for thread in clients)
+    x_loop, trace_loop = run_server(Endpoint.loopback(), system, cfg, x_ref=x_star)
+    assert np.array_equal(x_loop, x_sock)
+    assert trace_loop.csv_text() == trace_sock.csv_text()
+
+
+def test_client_gives_up_on_refused_connection_at_timeout():
+    port = free_port()
+    start = time.monotonic()
+    with pytest.raises(ConnectionRefusedError):
+        run_client(Endpoint.client("127.0.0.1", port), 0, timeout=0.3)
+    assert 0.3 <= time.monotonic() - start < 5.0
+
+
 def test_socket_client_killed_mid_round():
     system, _ = gaussian_consistent(8, 3, 6)
     cfg = RunConfig(
