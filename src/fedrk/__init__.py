@@ -6,16 +6,13 @@ from .core import (
     as_matrix,
     as_vector,
     derive_seed,
-    frobenius_norm_sq,
     hard_threshold,
     rk_step,
-    sample_row,
     sample_rows,
 )
 from .errors import FedRKError
 from .federation import (
     FedTrace,
-    Partition,
     RoundStreams,
     RunConfig,
     ServerRoundSystem,
@@ -23,9 +20,7 @@ from .federation import (
     client_local_update,
     fed_round,
     fed_run,
-    partition_system,
     sample_clients,
-    server_solve,
 )
 from .solver import (
     IterateTrace,
@@ -45,14 +40,11 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "derive_seed",
-    "frobenius_norm_sq",
     "hard_threshold",
     "rk_step",
-    "sample_row",
     "sample_rows",
     "FedRKError",
     "FedTrace",
-    "Partition",
     "RoundStreams",
     "RunConfig",
     "ServerRoundSystem",
@@ -60,9 +52,7 @@ __all__ = [
     "client_local_update",
     "fed_round",
     "fed_run",
-    "partition_system",
     "sample_clients",
-    "server_solve",
     "IterateTrace",
     "LinearSystem",
     "contraction_factor",

@@ -98,7 +98,7 @@ def _cmd_solve(args):
         global_iters=args.global_iters,
         rounds=args.rounds,
         sparsity=args.sparsity,
-        local_scheme=SamplingScheme.from_label(args.scheme),
+        local_scheme=SamplingScheme(args.scheme),
         master_seed=args.seed,
         residual_tol=args.residual_tol,
     )
@@ -119,7 +119,7 @@ def _cmd_solve(args):
 
 def _cmd_client(args):
     endpoint = Endpoint.client(args.host, args.port)
-    scheme = None if args.scheme is None else SamplingScheme.from_label(args.scheme)
+    scheme = None if args.scheme is None else SamplingScheme(args.scheme)
     run_client(endpoint, args.id, scheme, timeout=args.timeout)
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllRowsZero, DimensionMismatch, WeightError, ZeroRow
+from .errors import AllRowsZero, DimensionMismatch, ZeroRow
 
 __all__ = [
     "as_vector",
@@ -24,9 +24,7 @@ __all__ = [
     "SamplingScheme",
     "rk_step",
     "hard_threshold",
-    "sample_row",
     "sample_rows",
-    "frobenius_norm_sq",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_vector_csv",
@@ -126,15 +124,13 @@ def derive_seed(master_seed, *ids):
 
 _UNIFORM = "uniform"
 _SQNORM = "sqnorm"
-_CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Row-sampling distribution: uniform, squared-row-norm, or custom weights."""
+    """Row-sampling distribution; ``kind`` is "uniform" or "sqnorm" (squared row norm)."""
 
     kind: str
-    weights: tuple = None
 
     @classmethod
     def uniform(cls):
@@ -143,15 +139,6 @@ class SamplingScheme:
     @classmethod
     def squared_row_norm(cls):
         return cls(_SQNORM)
-
-    @classmethod
-    def custom(cls, weights):
-        w = as_vector(weights, name="weights")
-        if np.any(w < 0):
-            raise WeightError("custom weights must be non-negative")
-        if not np.any(w > 0):
-            raise WeightError("custom weights need at least one positive entry")
-        return cls(_CUSTOM, tuple(float(v) for v in w))
 
     def probabilities(self, row_sq):
         """Per-row probabilities under this scheme, from the rows' squared norms."""
@@ -163,13 +150,6 @@ class SamplingScheme:
             if total <= 0.0:
                 raise AllRowsZero("squared-row-norm sampling on an all-zero matrix")
             return row_sq / total
-        if self.kind == _CUSTOM:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.size != m:
-                raise DimensionMismatch(
-                    f"{w.size} weights for a {m}-row matrix"
-                )
-            return w / w.sum()
         raise ValueError(f"unknown sampling scheme kind {self.kind!r}")
 
     def cdf(self, row_sq):
@@ -177,22 +157,6 @@ class SamplingScheme:
         cdf = np.cumsum(self.probabilities(row_sq))
         cdf[-1] = 1.0
         return cdf
-
-    def label(self):
-        """Short text form used in config files."""
-        if self.kind == _CUSTOM:
-            return "custom:" + ",".join(repr(w) for w in self.weights)
-        return self.kind
-
-    @classmethod
-    def from_label(cls, text):
-        if text == _UNIFORM:
-            return cls.uniform()
-        if text == _SQNORM:
-            return cls.squared_row_norm()
-        if text.startswith("custom:"):
-            return cls.custom([float(v) for v in text[len("custom:"):].split(",")])
-        raise ValueError(f"unknown sampling scheme label {text!r}")
 
 
 def rk_step(a, b_j, x):
@@ -240,17 +204,6 @@ def sample_rows(scheme, rng, matrix, count, cdf=None):
     if cdf is None:
         cdf = scheme.cdf(row_norms_sq(matrix))
     return np.searchsorted(cdf, rng.generator.random(count), side="right")
-
-
-def sample_row(scheme, rng, matrix):
-    """Draw a single row index of ``matrix`` under ``scheme``."""
-    return int(sample_rows(scheme, rng, matrix, 1)[0])
-
-
-def frobenius_norm_sq(matrix):
-    """Sum of squared entries."""
-    m = as_matrix(matrix, allow_empty=True)
-    return float(np.einsum("ij,ij->", m, m))
 
 
 # ---------------------------------------------------------------------------

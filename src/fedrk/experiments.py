@@ -133,30 +133,6 @@ class ExperimentSpec:
         )
         return replace(spec, **overrides)
 
-    def to_text(self):
-        lines = [
-            f"name={self.name}",
-            f"m={self.m}",
-            f"n={self.n}",
-            f"clients={self.clients}",
-            f"participants={self.participants}",
-            f"local_iters={self.local_iters}",
-            f"global_iters={self.global_iters}",
-            f"rounds={self.rounds}",
-            f"trials={self.trials}",
-            f"seed={self.seed}",
-            f"noise_scale={self.noise_scale!r}",
-            f"consistent={'true' if self.consistent else 'false'}",
-            f"use_train_split={'true' if self.use_train_split else 'false'}",
-        ]
-        if self.sparsity is not None:
-            lines.append(f"sparsity={self.sparsity}")
-        if self.tau_list:
-            lines.append("tau_list=" + ",".join(str(t) for t in self.tau_list))
-        if self.augment_cols:
-            lines.append("augment_cols=" + ",".join(str(k) for k in self.augment_cols))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text):
         values = parse_key_values(text, [f.name for f in fields(cls)], kind="spec")

@@ -18,10 +18,8 @@ import numpy as np
 from .core import (
     RngStream,
     SamplingScheme,
-    as_vector,
     derive_seed,
     hard_threshold,
-    parse_key_values,
     row_norms_sq,
     zero_row_tol,
 )
@@ -31,19 +29,16 @@ from .solver import LinearSystem, _as_point, gram_matrix, rk_iterate
 __all__ = [
     "TAG_SELECT",
     "TAG_SERVER",
-    "Partition",
     "RunConfig",
     "ServerRoundSystem",
     "FedTrace",
     "RoundStreams",
     "local_stream_seed",
-    "partition_system",
     "client_blocks",
     "sample_clients",
     "round_tol",
     "client_local_update",
     "build_server_system",
-    "server_solve",
     "apply_server_round",
     "fed_round",
     "trace_writer",
@@ -59,35 +54,9 @@ TAG_SERVER = 0xFFFF_FFFE
 _UNIFORM = SamplingScheme.uniform()
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of contiguous row blocks to clients 0..clients-1."""
-
-    blocks: tuple
-    clients: int
-    total_rows: int
-
-    def __post_init__(self):
-        if self.clients < 1:
-            raise ValueError("need at least one client")
-        if len(self.blocks) != self.clients:
-            raise ValueError("one block per client required")
-        ids = sorted(blk[0] for blk in self.blocks)
-        if ids != list(range(self.clients)):
-            raise ValueError("client ids must be 0..M-1, each exactly once")
-        covered = 0
-        for _, start, count in sorted(self.blocks, key=lambda blk: blk[1]):
-            if count < 1:
-                raise ValueError("every client needs at least one row")
-            if start != covered:
-                raise ValueError("blocks must tile the rows without gaps or overlap")
-            covered = start + count
-        if covered != self.total_rows:
-            raise ValueError("blocks must cover all rows")
-
-
-def partition_system(system, clients):
-    """Split a system's rows into contiguous near-even blocks.
+def client_blocks(system, clients):
+    """Split a system's rows into contiguous near-even blocks, one
+    ``LinearSystem`` per client in id order.
 
     Earlier clients receive the larger blocks when the row count does not
     divide evenly.
@@ -99,21 +68,12 @@ def partition_system(system, clients):
     if clients > rows:
         raise TooManyClients(f"{clients} clients for {rows} rows")
     base, extra = divmod(rows, clients)
-    blocks = []
-    start = 0
+    blocks, start = [], 0
     for cid in range(clients):
-        count = base + (1 if cid < extra else 0)
-        blocks.append((cid, start, count))
-        start += count
-    return Partition(tuple(blocks), clients, rows)
-
-
-def client_blocks(system, partition):
-    """Materialize each client's LinearSystem, ordered by client id."""
-    return [
-        LinearSystem(system.A[start:start + count], system.b[start:start + count])
-        for _, start, count in sorted(partition.blocks)
-    ]
+        stop = start + base + (1 if cid < extra else 0)
+        blocks.append(LinearSystem(system.A[start:stop], system.b[start:stop]))
+        start = stop
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -145,43 +105,6 @@ class RunConfig:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         if self.residual_tol is not None and self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive when present")
-
-    def to_text(self):
-        lines = [
-            f"clients={self.clients}",
-            f"participants={self.participants}",
-            f"local_iters={self.local_iters}",
-            f"global_iters={self.global_iters}",
-            f"rounds={self.rounds}",
-            f"scheme={self.local_scheme.label()}",
-            f"seed={self.master_seed}",
-        ]
-        if self.sparsity is not None:
-            lines.append(f"sparsity={self.sparsity}")
-        if self.residual_tol is not None:
-            lines.append(f"residual_tol={self.residual_tol!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        fields = parse_key_values(text, (
-            "clients", "participants", "local_iters", "global_iters",
-            "rounds", "scheme", "seed", "sparsity", "residual_tol",
-        ))
-        try:
-            return cls(
-                clients=int(fields["clients"]),
-                participants=int(fields["participants"]),
-                local_iters=int(fields["local_iters"]),
-                global_iters=int(fields["global_iters"]),
-                rounds=int(fields["rounds"]),
-                sparsity=int(fields["sparsity"]) if "sparsity" in fields else None,
-                local_scheme=SamplingScheme.from_label(fields.get("scheme", "sqnorm")),
-                master_seed=int(fields.get("seed", "0")),
-                residual_tol=float(fields["residual_tol"]) if "residual_tol" in fields else None,
-            )
-        except KeyError as exc:
-            raise ValueError(f"missing config key {exc.args[0]!r}") from None
 
 
 class ServerRoundSystem(NamedTuple):
@@ -241,27 +164,6 @@ class FedTrace:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write(self.csv_text())
-
-    @classmethod
-    def from_csv(cls, path):
-        trace = cls()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "round,error,residual,participants,dropped_rows":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                t, err, res, parts, drop = line.split(",")
-                trace.append(
-                    int(t),
-                    None if err == "" else float(err),
-                    float(res),
-                    [int(i) for i in parts.split(";")] if parts else (),
-                    int(drop),
-                )
-        return trace
 
 
 def local_stream_seed(master_seed, round_index, client_id):
@@ -352,14 +254,6 @@ def _server_rk(srs, x_global, global_iters, rng, dead_tol_sq):
     return rk_iterate(srs, x_global.copy(), dead_tol_sq, global_iters, _UNIFORM, rng)
 
 
-def server_solve(srs, x_global, global_iters, rng):
-    """Run RK with uniform sampling on the derived system; empty system is a no-op."""
-    x_global = as_vector(x_global, name="x_global")
-    if not srs.is_empty and srs.delta_rows[0].size != x_global.size:
-        raise DimensionMismatch("derived system dimension mismatch")
-    return _server_rk(srs, x_global, global_iters, rng, round_tol(x_global) ** 2)
-
-
 def apply_server_round(deltas, x_global, config, server_rng, tol):
     """Server half of a round: build the derived system, solve, threshold.
 
@@ -432,7 +326,7 @@ def run_rounds(system, config, x0, on_round, step=None):
     """
     x = _as_point(system, x0, "x0").copy()
     if step is None:
-        blocks = client_blocks(system, partition_system(system, config.clients))
+        blocks = client_blocks(system, config.clients)
 
         def step(t, x):
             return fed_round(blocks, x, config, RoundStreams.derive(config.master_seed, t))

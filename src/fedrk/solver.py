@@ -113,28 +113,6 @@ class IterateTrace:
         if np.any(~np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("trace values must be finite and non-negative")
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("step,error\n")
-            for k, v in zip(self.steps, self.values):
-                fh.write(f"{int(k)},{repr(float(v))}\n")
-
-    @classmethod
-    def from_csv(cls, path, kind="error"):
-        steps, values = [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "step,error":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                k, v = line.split(",")
-                steps.append(int(k))
-                values.append(float(v))
-        return cls(np.array(steps), np.array(values), kind=kind)
-
 
 def gram_matrix(A, row_sq):
     """``A Aᵀ`` with the rows' squared norms ``row_sq`` on its diagonal."""
@@ -150,7 +128,7 @@ _LOWER = np.tri(_CHUNK)
 
 def _sampled_rows(setup, iters, scheme, rng):
     """A run's row indices: one draw of ``iters`` uniforms on ``rng``."""
-    if len(setup[0]) == 1 and scheme.weights is None:
+    if len(setup[0]) == 1:
         # every draw lands on row 0; skip the stream entirely
         return np.zeros(iters, dtype=np.intp)
     return sample_rows(scheme, rng, None, iters, setup[3])

@@ -38,7 +38,6 @@ from .federation import (
     client_blocks,
     client_local_update,
     local_stream_seed,
-    partition_system,
     round_tol,
     run_rounds,
     sample_clients,
@@ -72,6 +71,8 @@ MSG_SHUTDOWN = 4
 _HEADER = struct.Struct("<2sBBI")
 # a Delta payload is round, client id and n (u32 each), then n float64s
 _DELTA_HEAD = 12
+# a Broadcast payload is round and n (u32), n float64s, local_iters (u32), seed (u64)
+_BROADCAST_HEAD = 20
 # the local schemes an AssignPartition can carry, by their u32 wire code
 _SCHEMES = (SamplingScheme.squared_row_norm(), SamplingScheme.uniform())
 # pause between a client's attempts to reach a server that is not listening yet
@@ -142,8 +143,6 @@ def encode(msg):
         rows, cols = A.shape
         if b.shape != (rows,):
             raise ValueError("b must have one entry per row of A")
-        if msg.scheme not in _SCHEMES:
-            raise ValueError(f"local scheme {msg.scheme.label()!r} cannot be sent to a client")
         payload = struct.pack(
             "<IIII",
             _check_uint(msg.client_id, 32, "client_id"),
@@ -314,8 +313,8 @@ class ClientSession:
                 )
             if self.scheme is not None and self.scheme != msg.scheme:
                 raise RoundError(
-                    f"client {self.client_id} was started with scheme {self.scheme.label()} "
-                    f"but the run uses {msg.scheme.label()}",
+                    f"client {self.client_id} was started with scheme {self.scheme.kind} "
+                    f"but the run uses {msg.scheme.kind}",
                     client_id=self.client_id,
                 )
             self.scheme = msg.scheme
@@ -509,7 +508,7 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     """
     if endpoint.role != "server":
         raise ValueError("run_server needs a server endpoint")
-    blocks = client_blocks(system, partition_system(system, config.clients))
+    blocks = client_blocks(system, config.clients)
     x0 = np.zeros(system.cols) if x0 is None else x0
     trace, on_round = trace_writer(system, config, x_ref)
 
@@ -563,7 +562,8 @@ def run_client(endpoint, client_id, scheme=None, timeout=30.0):
 
     A client may start before the server listens: it retries a refused
     connection until ``timeout``. The local scheme is the server's; a
-    ``scheme`` given here must match it.
+    ``scheme`` given here must match it. Once its rows have arrived, a frame
+    longer than a Broadcast of their width raises LengthMismatch unread.
     """
     if endpoint.transport != "socket":
         raise ValueError("run_client only applies to the socket transport")
@@ -574,7 +574,8 @@ def run_client(endpoint, client_id, scheme=None, timeout=30.0):
         # hello: an empty delta carrying our id
         write_frame(sock, Delta(0, session.client_id, np.zeros(0)))
         while not session.done:
-            msg = read_frame(sock)
+            block = session.block
+            msg = read_frame(sock, None if block is None else _BROADCAST_HEAD + 8 * block.cols)
             if msg is None:
                 raise ConnectionLost(
                     f"server closed connection to client {session.client_id}",

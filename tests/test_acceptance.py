@@ -39,7 +39,6 @@ from fedrk.federation import (
     client_local_update,
     fed_round,
     fed_run,
-    partition_system,
 )
 from fedrk.oracles import (
     expected_update,
@@ -194,7 +193,7 @@ def test_criterion_05_underdetermined_limit():
             rounds=100, master_seed=derive_seed(505, "run", seed),
         )
         x, _ = fed_run(system, cfg, x0)
-        blocks = client_blocks(system, partition_system(system, 4))
+        blocks = client_blocks(system, 4)
         target = intersection_projection(blocks, x0)
         rel = float(np.linalg.norm(x - target) / np.linalg.norm(x0))
         worst = max(worst, rel)

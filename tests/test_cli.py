@@ -9,7 +9,6 @@ import pytest
 
 from fedrk.cli import main
 from fedrk.core import save_dmat, save_matrix_csv, save_vector_csv
-from fedrk.federation import FedTrace
 
 
 def free_port():
@@ -48,9 +47,10 @@ def test_solve_loopback(small_problem, tmp_path, capsys):
     a_path, b_path = small_problem
     out = tmp_path / "trace.csv"
     assert main(solve_args(a_path, b_path, out)) == 0
-    trace = FedTrace.from_csv(out)
-    assert trace.rounds[-1] == 40
-    assert trace.residuals[-1] < trace.residuals[0]
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["round", "error", "residual", "participants", "dropped_rows"]
+    assert [int(row[0]) for row in rows] == list(range(41))
+    assert float(rows[-1][2]) < float(rows[0][2])
     assert "final residual" in capsys.readouterr().out
 
 
@@ -225,6 +225,16 @@ def test_solve_tcp_non_finite_delta_is_runtime_error(small_problem, tmp_path, ca
     sock.close()
     assert codes["server"] == 3
     assert "client 0" in capsys.readouterr().err
+
+
+def test_client_oversized_frame_is_runtime_error(capsys):
+    from test_transport import oversized_broadcast_frames, serve_raw_frames
+
+    port, server = serve_raw_frames(oversized_broadcast_frames(0xFFFFFFFF), 10.0)
+    code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
+    server.join(timeout=30)
+    assert code == 3
+    assert "frame declares 4294967295 payload bytes, at most 44 expected" in capsys.readouterr().err
 
 
 def test_exp_lsq_with_spec_file(tmp_path, capsys):

@@ -14,20 +14,18 @@ from fedrk.core import (
     as_matrix,
     as_vector,
     derive_seed,
-    frobenius_norm_sq,
     hard_threshold,
     load_dmat,
     load_matrix_csv,
     load_vector_csv,
     rk_step,
     row_norms_sq,
-    sample_row,
     sample_rows,
     save_dmat,
     save_matrix_csv,
     save_vector_csv,
 )
-from fedrk.errors import AllRowsZero, DimensionMismatch, WeightError, ZeroRow
+from fedrk.errors import AllRowsZero, DimensionMismatch, ZeroRow
 
 FINITE = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -188,7 +186,7 @@ def test_hard_threshold_best_s_term_brute_force():
 def test_sample_row_single_row_matrix():
     m = as_matrix([[2.0, 1.0]])
     rng = RngStream(0)
-    assert all(sample_row(SamplingScheme.uniform(), rng, m) == 0 for _ in range(10))
+    assert all(sample_rows(SamplingScheme.uniform(), rng, m, 1)[0] == 0 for _ in range(10))
 
 
 def test_sample_rows_uniform_frequencies():
@@ -218,23 +216,9 @@ def test_squared_norm_probabilities_exact():
 def test_sampling_errors():
     zeros = as_matrix(np.zeros((3, 2)))
     with pytest.raises(AllRowsZero):
-        sample_row(SamplingScheme.squared_row_norm(), RngStream(0), zeros)
-    with pytest.raises(WeightError):
-        SamplingScheme.custom([-1.0, 2.0])
-    with pytest.raises(WeightError):
-        SamplingScheme.custom([0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        SamplingScheme.custom([1.0, 1.0, 1.0]).probabilities(row_norms_sq(zeros[:2]))
-
-
-def test_custom_scheme_frequencies():
-    m = as_matrix(np.ones((3, 2)))
-    rng = RngStream(11)
-    idx = sample_rows(SamplingScheme.custom([1.0, 0.0, 3.0]), rng, m, 50_000)
-    freqs = np.bincount(idx, minlength=3) / idx.size
-    assert abs(freqs[0] - 0.25) < 0.02
-    assert freqs[1] == 0.0
-    assert abs(freqs[2] - 0.75) < 0.02
+        sample_rows(SamplingScheme.squared_row_norm(), RngStream(0), zeros, 1)[0]
+    with pytest.raises(ValueError):
+        SamplingScheme("custom").probabilities(row_norms_sq(zeros))
 
 
 def test_sampler_determinism():
@@ -254,16 +238,6 @@ def test_sampler_split_draws_match_batch():
     first = sample_rows(scheme, stream, m, 8)
     second = sample_rows(scheme, stream, m, 12)
     assert np.array_equal(whole, np.concatenate([first, second]))
-
-
-# ---------------------------------------------------------------------------
-# frobenius norm
-# ---------------------------------------------------------------------------
-
-def test_frobenius_norm_sq():
-    assert frobenius_norm_sq(np.eye(2)) == 2.0
-    assert frobenius_norm_sq([[3.0, 4.0], [0.0, 0.0]]) == 25.0
-    assert frobenius_norm_sq(np.zeros((3, 3))) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,11 @@ def test_augment_columns_near_orthogonality():
 
 def test_spec_text_round_trip():
     spec = ExperimentSpec.convergence(m=64, n=16, trials=3, tau_list=(2, 4))
-    assert ExperimentSpec.from_text(spec.to_text()) == spec
-    sparse = ExperimentSpec.sparse(m=32, n=64, sparsity=3)
-    assert ExperimentSpec.from_text(sparse.to_text()) == sparse
+    text = "name=convergence\nm=64\nn=16\ntrials=3\ntau_list=2,4\n"
+    assert ExperimentSpec.from_text(text) == spec
+    sparse = ExperimentSpec.sparse(m=32, n=64, sparsity=3, noise_scale=0.5, consistent=True)
+    text = "# comment\nname=sparse\nm=32\nn=64\nsparsity=3\nnoise_scale=0.5\nconsistent=true\n"
+    assert ExperimentSpec.from_text(text) == sparse
 
 
 def test_spec_from_file(tmp_path):

@@ -6,19 +6,17 @@ import pytest
 from fedrk.core import RngStream, SamplingScheme
 from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients
 from fedrk.federation import (
-    FedTrace,
-    Partition,
     RoundStreams,
     RunConfig,
+    apply_server_round,
     build_server_system,
     client_blocks,
     client_local_update,
     fed_round,
     fed_run,
-    partition_system,
+    round_tol,
     run_rounds,
     sample_clients,
-    server_solve,
 )
 from fedrk.oracles import project_onto_solution_set
 from fedrk.solver import LinearSystem
@@ -54,40 +52,38 @@ def config(**kwargs):
 
 def test_partition_even_split():
     system, _ = gaussian_consistent(6, 2, 0)
-    part = partition_system(system, 3)
-    assert part.blocks == ((0, 0, 2), (1, 2, 2), (2, 4, 2))
+    blocks = client_blocks(system, 3)
+    assert [blk.rows for blk in blocks] == [2, 2, 2]
 
 
 def test_partition_remainder_to_early_clients():
     system, _ = gaussian_consistent(7, 2, 1)
-    part = partition_system(system, 3)
-    assert [blk[2] for blk in sorted(part.blocks)] == [3, 2, 2]
+    assert [blk.rows for blk in client_blocks(system, 3)] == [3, 2, 2]
 
 
 def test_partition_too_many_clients():
     system, _ = gaussian_consistent(3, 2, 2)
     with pytest.raises(TooManyClients):
-        partition_system(system, 4)
+        client_blocks(system, 4)
     with pytest.raises(ValueError):
-        partition_system(system, 0)
-
-
-def test_partition_invariants_enforced():
-    with pytest.raises(ValueError):
-        Partition(((0, 0, 2), (0, 2, 2)), 2, 4)  # duplicate id
-    with pytest.raises(ValueError):
-        Partition(((0, 0, 2), (1, 3, 1)), 2, 4)  # gap
-    with pytest.raises(ValueError):
-        Partition(((0, 0, 2), (1, 2, 1)), 2, 4)  # missing coverage
-    with pytest.raises(ValueError):
-        Partition(((0, 0, 4), (1, 4, 0)), 2, 4)  # empty client
+        client_blocks(system, 0)
 
 
 def test_client_blocks_slicing():
     system, _ = gaussian_consistent(7, 3, 3)
-    blocks = client_blocks(system, partition_system(system, 2))
+    blocks = client_blocks(system, 2)
     assert blocks[0].rows == 4 and blocks[1].rows == 3
     assert np.array_equal(blocks[1].A, system.A[4:])
+
+
+def test_client_blocks_tile_the_system_in_order():
+    system, _ = gaussian_consistent(11, 3, 4)
+    for clients in range(1, 12):
+        blocks = client_blocks(system, clients)
+        assert len(blocks) == clients
+        assert all(blk.rows >= 1 for blk in blocks)
+        assert np.array_equal(np.vstack([blk.A for blk in blocks]), system.A)
+        assert np.array_equal(np.concatenate([blk.b for blk in blocks]), system.b)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +234,6 @@ def test_overflowing_client_is_named_with_its_round():
 
 
 def test_apply_server_round_arrival_order_independent():
-    from fedrk.federation import apply_server_round, round_tol
-
     g = np.random.default_rng(73)
     x = g.standard_normal(4)
     deltas = [(cid, g.standard_normal(4)) for cid in range(3)]
@@ -257,8 +251,8 @@ def test_apply_server_round_arrival_order_independent():
 
 def test_server_solve_empty_is_identity():
     x = np.array([3.0, -1.0])
-    srs = build_server_system([], x, 1e-12)
-    out = server_solve(srs, x, 10, RngStream(0))
+    out, kept = apply_server_round([], x, config(global_iters=10), RngStream(0), round_tol(x))
+    assert kept == ()
     assert np.array_equal(out, x)
     assert out is not x
 
@@ -270,8 +264,7 @@ def test_server_solve_single_row_one_step_recovers_delta():
         n = int(g.integers(2, 12))
         x = g.standard_normal(n) * g.choice([0.1, 1.0, 100.0])
         delta = g.standard_normal(n)
-        srs = build_server_system([(0, delta)], x, 0.0)
-        out = server_solve(srs, x, 1, RngStream(1))
+        out, _ = apply_server_round([(0, delta)], x, config(global_iters=1), RngStream(1), 0.0)
         tol = 1e-12 * (1.0 + np.linalg.norm(x))
         assert np.max(np.abs(out - (x + delta))) <= tol
 
@@ -280,7 +273,8 @@ def test_server_solve_orthogonal_rows_reach_intersection():
     x = np.array([5.0, -3.0])
     deltas = [(0, np.array([2.0, 0.0])), (1, np.array([0.0, 1.5]))]
     srs = build_server_system(deltas, x, 1e-12)
-    out = server_solve(srs, x, 60, RngStream(5))
+    out, kept = apply_server_round(deltas, x, config(global_iters=60), RngStream(5), 1e-12)
+    assert kept == (0, 1)
     # hyperplanes 2 x1 = d0 and 1.5 x2 = d1 intersect at the joint solution
     expected = np.array([srs.d[0] / 2.0, srs.d[1] / 1.5])
     assert np.linalg.norm(out - expected) < 1e-8
@@ -296,7 +290,7 @@ def test_server_solve_orthogonal_rows_reach_intersection():
 def test_fed_round_fixed_point_at_solution(shape=(8, 3, 10)):
     rows, cols, iters = shape
     system, x_star = gaussian_consistent(rows, cols, 41)
-    blocks = client_blocks(system, partition_system(system, 2))
+    blocks = client_blocks(system, 2)
     cfg = config(rounds=1, local_iters=iters, global_iters=iters)
     streams = RoundStreams.derive(cfg.master_seed, 0)
     x_next, participants, dropped = fed_round(blocks, x_star, cfg, streams)
@@ -311,7 +305,7 @@ def test_fed_round_fixed_point_at_solution_dual_kernel():
 
 def test_fed_round_axes_contract_to_origin():
     system = axes_system()
-    blocks = client_blocks(system, partition_system(system, 2))
+    blocks = client_blocks(system, 2)
     cfg = config(local_iters=30, global_iters=30, rounds=1)
     x = np.array([1.0, 1.0])
     streams = RoundStreams.derive(7, 0)
@@ -325,7 +319,7 @@ def test_fed_round_axes_contract_to_origin():
 def test_fed_round_threshold_noop_on_support():
     # at a 1-sparse solution, thresholding after the round changes nothing
     system = LinearSystem(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([3.0, 6.0]))
-    blocks = client_blocks(system, partition_system(system, 2))
+    blocks = client_blocks(system, 2)
     cfg = config(sparsity=1, rounds=1)
     x_star = np.array([3.0, 0.0])
     x_next, _, _ = fed_round(blocks, x_star, cfg, RoundStreams.derive(0, 0))
@@ -336,7 +330,7 @@ def test_fed_round_names_failing_client():
     # client 1's block contains a zero row; uniform local sampling hits it
     A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     system = LinearSystem(A, np.array([1.0, 2.0, 2.0, 0.0]))
-    blocks = client_blocks(system, partition_system(system, 2))
+    blocks = client_blocks(system, 2)
     cfg = config(local_iters=50, local_scheme=UNIFORM, rounds=1)
     with pytest.raises(RoundError) as err:
         fed_round(blocks, np.ones(2), cfg, RoundStreams.derive(3, 0))
@@ -488,21 +482,8 @@ def test_fed_run_with_sparsity_matches_thresholded_dynamics():
 
 
 # ---------------------------------------------------------------------------
-# RunConfig / FedTrace serialization
+# RunConfig validation
 # ---------------------------------------------------------------------------
-
-def test_run_config_text_round_trip():
-    cfg = RunConfig(
-        clients=16, participants=5, local_iters=20, global_iters=20,
-        rounds=200, sparsity=9, master_seed=123, residual_tol=1e-9,
-    )
-    assert RunConfig.from_text(cfg.to_text()) == cfg
-    plain = RunConfig(
-        clients=4, participants=2, local_iters=1, global_iters=1, rounds=3,
-        local_scheme=SamplingScheme.uniform(),
-    )
-    assert RunConfig.from_text(plain.to_text()) == plain
-
 
 def test_run_config_rejects_bad_values():
     with pytest.raises(ValueError):
@@ -511,21 +492,3 @@ def test_run_config_rejects_bad_values():
         RunConfig(clients=2, participants=1, local_iters=0, global_iters=1, rounds=1)
     with pytest.raises(ValueError):
         RunConfig(clients=2, participants=1, local_iters=1, global_iters=1, rounds=-1)
-    with pytest.raises(ValueError):
-        RunConfig.from_text("clients=2\nparticipants=1\nbogus=3\n")
-
-
-def test_fed_trace_csv_round_trip(tmp_path):
-    trace = FedTrace()
-    trace.append(0, None, 1.5, (), 0)
-    trace.append(1, 0.25, 0.75, (0, 2, 5), 1)
-    trace.append(2, 0.0625, 0.1875, (1,), 0)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    back = FedTrace.from_csv(path)
-    assert back.rounds == trace.rounds
-    assert back.errors == trace.errors
-    assert back.residuals == trace.residuals
-    assert back.participants == trace.participants
-    assert back.dropped == trace.dropped
-    assert back.csv_text() == trace.csv_text()

@@ -51,17 +51,11 @@ def test_linear_system_rejects_overflowing_row_norm():
     LinearSystem(1e150 * A[:3], np.ones(3))  # squares near 1e300 still fit
 
 
-def test_iterate_trace_validation_and_csv(tmp_path):
+def test_iterate_trace_validation():
     with pytest.raises(ValueError):
         IterateTrace([1, 2], [0.5, 0.25])
     with pytest.raises(ValueError):
         IterateTrace([0, 1], [0.5, -0.1])
-    trace = IterateTrace([0, 1, 2], [1.0, 0.25, 0.0625])
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    back = IterateTrace.from_csv(path)
-    assert np.array_equal(back.steps, trace.steps)
-    assert np.array_equal(back.values, trace.values)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from fedrk.transport import (
     Shutdown,
     decode,
     encode,
+    read_frame,
     run_client,
     run_server,
     write_frame,
@@ -185,8 +186,6 @@ def test_encode_rejects_out_of_range_fields():
         encode(Broadcast(0, np.zeros(1), 2**32, 0))
     with pytest.raises(ValueError):
         encode(Broadcast(0, np.zeros(1), 0, 2**64))
-    with pytest.raises(ValueError):
-        encode(AssignPartition(0, np.ones((1, 2)), np.ones(1), SamplingScheme.custom([1.0])))
     with pytest.raises(TypeError):
         encode("not a message")
 
@@ -449,8 +448,6 @@ def test_socket_stale_round_delta_rejected():
     server.start()
     time.sleep(0.05)
 
-    from fedrk.transport import read_frame
-
     sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
     sock.settimeout(5.0)
     write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
@@ -488,8 +485,6 @@ def serve_in_thread(system, cfg, port, timeout):
 
 def join_first_broadcast(port):
     """Log in as client 0 by hand and read up to the round-0 Broadcast."""
-    from fedrk.transport import read_frame
-
     sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
     sock.settimeout(5.0)
     write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
@@ -552,6 +547,47 @@ def test_socket_oversized_hello_rejected_before_payload():
     err = result.get("error")
     assert isinstance(err, RoundError)
     assert isinstance(err.__cause__, LengthMismatch)
+    assert elapsed < timeout / 4
+
+
+def serve_raw_frames(frames, timeout):
+    """A fake one-client server: it answers the hello with the raw ``frames``,
+    then waits for the client to hang up. Returns (port, thread)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(timeout)
+
+    def serve():
+        with listener:
+            sock, _ = listener.accept()
+            with sock:
+                sock.settimeout(timeout)
+                read_frame(sock)  # the hello
+                for frame in frames:
+                    sock.sendall(frame)
+                sock.recv(1)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    return listener.getsockname()[1], server
+
+
+def oversized_broadcast_frames(declared):
+    """A valid AssignPartition of a 2x3 block, then a Broadcast header that
+    declares ``declared`` payload bytes and sends none of them."""
+    assign = encode(AssignPartition(0, np.ones((2, 3)), np.arange(1.0, 3.0)))
+    return [assign, b"FK" + bytes([1, 2]) + declared.to_bytes(4, "little")]
+
+
+# a Broadcast for 3 columns is 20 + 8 * 3 = 44 payload bytes
+@pytest.mark.parametrize("declared", [0xFFFFFFFF, 45])
+def test_client_rejects_oversized_broadcast_frame_before_payload(declared):
+    timeout = 10.0
+    port, server = serve_raw_frames(oversized_broadcast_frames(declared), timeout)
+    start = time.monotonic()
+    with pytest.raises(LengthMismatch):
+        run_client(Endpoint.client("127.0.0.1", port), 0, timeout=timeout)
+    elapsed = time.monotonic() - start
+    server.join(timeout=30)
     assert elapsed < timeout / 4
 
 
