@@ -23,7 +23,6 @@ from .federation import (
     sample_clients,
 )
 from .solver import (
-    IterateTrace,
     LinearSystem,
     contraction_factor,
     decay_functional,
@@ -53,7 +52,6 @@ __all__ = [
     "fed_round",
     "fed_run",
     "sample_clients",
-    "IterateTrace",
     "LinearSystem",
     "contraction_factor",
     "decay_functional",

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import SamplingScheme, load_dmat, load_matrix_csv, load_vector_csv
+from .core import SamplingScheme, load_dmat, load_matrix_csv, load_vector_csv, save_vector_csv
 from .errors import FedRKError
 from .experiments import (
     EXPERIMENTS,
@@ -110,9 +110,7 @@ def _cmd_solve(args):
         x, trace = run_server(endpoint, system, config, timeout=args.timeout)
     trace.to_csv(args.out)
     if args.solution_out:
-        with open(args.solution_out, "w") as fh:
-            for value in x:
-                fh.write(repr(float(value)) + "\n")
+        save_vector_csv(args.solution_out, x)
     print(f"final residual {trace.residuals[-1]:.6e} after {trace.rounds[-1]} rounds")
     return EXIT_OK
 

@@ -49,16 +49,13 @@ def as_vector(data, name="vector"):
     return v
 
 
-def as_matrix(data, name="matrix", allow_empty=False):
-    """Validate and return a 2-D row-major float64 array with finite entries.
-
-    ``allow_empty`` permits zero rows (used for the server's derived system,
-    which may drop every row in a fixed-point round).
-    """
+def as_matrix(data, name="matrix"):
+    """Validate and return a 2-D row-major float64 array (at least one row and
+    one column, all finite)."""
     m = np.ascontiguousarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.shape[0] < 1 and not allow_empty:
+    if m.shape[0] < 1:
         raise ValueError(f"{name} must have at least one row")
     if m.shape[1] < 1:
         raise ValueError(f"{name} must have at least one column")

@@ -6,15 +6,14 @@ train/test column). By default all rows are used; ``use_train_split=True``
 keeps only the rows marked ``T`` in the train column.
 """
 
+import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, as_vector
 from .errors import SchemaError
 
-__all__ = ["PREDICTORS", "TARGET_COLUMN", "FEATURE_NAMES", "ProstateDataset", "load_prostate"]
+__all__ = ["PREDICTORS", "TARGET_COLUMN", "FEATURE_NAMES", "load_prostate"]
 
 PREDICTORS = ("lcavol", "lweight", "age", "lbph", "svi", "lcp", "gleason", "pgg45")
 TARGET_COLUMN = "lpsa"
@@ -23,45 +22,17 @@ FEATURE_NAMES = ("intcpt",) + PREDICTORS
 ENV_PATH = "FEDRK_PROSTATE_PATH"
 DEFAULT_PATH = os.path.join("data", "prostate.data")
 
-_STANDARDIZE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProstateDataset:
-    """Feature matrix with intercept column of ones and standardized predictors."""
-
-    features: np.ndarray
-    target: np.ndarray
-    feature_names: tuple = FEATURE_NAMES
-
-    def __post_init__(self):
-        F = as_matrix(self.features, name="features")
-        y = as_vector(self.target, name="target")
-        if F.shape[1] != len(self.feature_names):
-            raise SchemaError(
-                f"expected {len(self.feature_names)} feature columns, got {F.shape[1]}"
-            )
-        if F.shape[0] != y.size:
-            raise SchemaError("feature rows and target length differ")
-        if not np.all(F[:, 0] == 1.0):
-            raise SchemaError("intercept column must be exactly all ones")
-        for j in range(1, F.shape[1]):
-            col = F[:, j]
-            if abs(float(col.mean())) > _STANDARDIZE_TOL:
-                raise SchemaError(f"column {self.feature_names[j]} is not centered")
-            if abs(float(col.std()) - 1.0) > _STANDARDIZE_TOL:
-                raise SchemaError(f"column {self.feature_names[j]} is not unit scale")
-        object.__setattr__(self, "features", F)
-        object.__setattr__(self, "target", y)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-
 
 def default_prostate_path():
     return os.environ.get(ENV_PATH, DEFAULT_PATH)
 
 
 def load_prostate(path=None, use_train_split=False):
-    """Load, standardize, and intercept-augment the prostate data file."""
+    """Load, standardize, and intercept-augment the prostate data file.
+
+    Returns ``(features, target)``: an intercept column of ones, then the
+    standardized predictors, in the order of ``FEATURE_NAMES``.
+    """
     if path is None:
         path = default_prostate_path()
     with open(path) as fh:
@@ -84,10 +55,13 @@ def load_prostate(path=None, use_train_split=False):
         if len(fields) != len(header):
             raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields")
         try:
-            raw.append([float(fields[index[p]]) for p in PREDICTORS])
-            target.append(float(fields[index[TARGET_COLUMN]]))
+            values = [float(fields[index[p]]) for p in PREDICTORS + (TARGET_COLUMN,)]
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"{path}:{lineno}: non-finite value")
+        raw.append(values[:-1])
+        target.append(values[-1])
         train_flags.append(fields[index["train"]] if "train" in index else "T")
 
     X = np.asarray(raw, dtype=np.float64)
@@ -98,11 +72,12 @@ def load_prostate(path=None, use_train_split=False):
     if X.shape[0] < 2:
         raise SchemaError(f"{path}: need at least 2 data rows")
 
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    dead = np.flatnonzero(std == 0.0)
-    if dead.size:
-        raise SchemaError(f"{path}: constant column {PREDICTORS[dead[0]]!r}")
+    with np.errstate(over="ignore"):  # an overflowing column is refused below
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    for name, scale in zip(PREDICTORS, std):
+        if scale == 0.0:
+            raise SchemaError(f"{path}: constant column {name!r}")
+        if not math.isfinite(scale):
+            raise SchemaError(f"{path}: column {name!r} overflows when standardized")
     standardized = (X - mean) / std
-    features = np.hstack([np.ones((X.shape[0], 1)), standardized])
-    return ProstateDataset(features, y)
+    return np.hstack([np.ones((X.shape[0], 1)), standardized]), y

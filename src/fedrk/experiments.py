@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import RngStream, as_matrix, derive_seed, parse_key_values
-from .datasets import load_prostate
+from .datasets import FEATURE_NAMES, load_prostate
 from .federation import RunConfig, fed_run, run_rounds
 from .oracles import least_squares_solution
 from .solver import LinearSystem
@@ -367,11 +367,10 @@ def run_prostate_experiment(spec, data_path=None, out_dir=None):
     Rows go to clients round-robin; reordering them groups each client's
     rows contiguously without changing the assignment.
     """
-    dataset = load_prostate(data_path, use_train_split=spec.use_train_split)
-    rows = dataset.features.shape[0]
-    order = _round_robin_order(rows, spec.clients)
-    system = LinearSystem(dataset.features[order], dataset.target[order])
-    n_features = len(dataset.feature_names)
+    features, target = load_prostate(data_path, use_train_split=spec.use_train_split)
+    order = _round_robin_order(features.shape[0], spec.clients)
+    system = LinearSystem(features[order], target[order])
+    n_features = len(FEATURE_NAMES)
 
     counts = np.zeros((spec.trials, n_features), dtype=np.int64)
     for trial in range(spec.trials):
@@ -383,7 +382,7 @@ def run_prostate_experiment(spec, data_path=None, out_dir=None):
                 counts[trial, np.flatnonzero(x)] += 1
 
         run_rounds(system, config, x0, on_round)
-    result = ProstateResult(spec, dataset.feature_names, counts)
+    result = ProstateResult(spec, FEATURE_NAMES, counts)
     if out_dir is not None:
         _write(out_dir, "prostate_counts.csv", result.csv_text())
     return result

@@ -141,10 +141,6 @@ class FedTrace:
     stopped_early: bool = False
 
     def append(self, round_index, error, residual, participant_ids, dropped_rows):
-        if residual < 0 or not np.isfinite(residual):
-            raise ValueError("residual must be finite and non-negative")
-        if error is not None and (error < 0 or not np.isfinite(error)):
-            raise ValueError("error must be finite and non-negative")
         self.rounds.append(int(round_index))
         self.errors.append(None if error is None else float(error))
         self.residuals.append(float(residual))
@@ -303,6 +299,8 @@ def trace_writer(system, config, x_ref=None):
 
     def on_round(round_index, x, participants, dropped):
         error = None if x_ref is None else float(np.linalg.norm(x - x_ref))
+        if error is not None and not math.isfinite(error):
+            raise NumericalError("the distance to x_ref is not finite", round_index=round_index)
         residual = system.residual_norm(x)
         if not math.isfinite(residual):
             raise NumericalError("the residual is not finite", round_index=round_index)

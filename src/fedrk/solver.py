@@ -16,7 +16,6 @@ from .errors import DimensionMismatch, WeightError, ZeroRow
 
 __all__ = [
     "LinearSystem",
-    "IterateTrace",
     "DecayFit",
     "rk_iterate",
     "rk_run",
@@ -90,30 +89,6 @@ def _as_point(system, x, name):
     return x
 
 
-@dataclass
-class IterateTrace:
-    """Per-step record of an iterative run: step index plus an error value.
-
-    ``kind`` says what the values are: distance to a reference point
-    ("error") or the residual norm ("residual").
-    """
-
-    steps: np.ndarray
-    values: np.ndarray
-    kind: str = "error"
-
-    def __post_init__(self):
-        self.steps = np.asarray(self.steps, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.steps.size != self.values.size:
-            raise DimensionMismatch("steps and values differ in length")
-        if self.steps.size:
-            if self.steps[0] != 0 or np.any(np.diff(self.steps) <= 0):
-                raise ValueError("step indices must increase strictly from 0")
-        if np.any(~np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("trace values must be finite and non-negative")
-
-
 def gram_matrix(A, row_sq):
     """``A Aᵀ`` with the rows' squared norms ``row_sq`` on its diagonal."""
     G = A @ A.T
@@ -134,7 +109,7 @@ def _sampled_rows(setup, iters, scheme, rng):
     return sample_rows(scheme, rng, None, iters, setup[3])
 
 
-def _rk_sequential(setup, x, dead_tol, indices, on_step=None):
+def _rk_sequential(setup, x, dead_tol, indices):
     """One projection per sampled row, in order: the reference kernel."""
     rows, b_list, sq_list, _ = setup
     tmp = np.empty_like(x)
@@ -146,8 +121,6 @@ def _rk_sequential(setup, x, dead_tol, indices, on_step=None):
         aj = rows[j]
         mul(aj, (b_list[j] - dot(aj, x)) / sq, out=tmp)
         add(x, tmp, out=x)
-        if on_step is not None:
-            on_step(x)
     return x
 
 
@@ -176,31 +149,29 @@ def _rk_dual(system, x, dead_tol, indices):
     return x
 
 
-def rk_iterate(system, x, dead_tol, iters, scheme, rng, on_step=None):
+def rk_iterate(system, x, dead_tol, iters, scheme, rng):
     """Unvalidated RK run on ``system``; mutates and returns ``x``.
 
     ``dead_tol`` is compared against squared row norms. All of the run's
-    row indices are drawn up front, in one call on ``rng``. With no
-    ``on_step``, a run of at least 32 steps on a block with no more rows
-    than steps or columns goes to the dual kernel, whose Gram matrix is
-    then no larger than the block and paid for by the run; it agrees with
-    the sequential kernel of :func:`rk_run` to rounding. Every other run is
-    that sequential kernel.
+    row indices are drawn up front, in one call on ``rng``. A run of at
+    least 32 steps on a block with no more rows than steps or columns goes
+    to the dual kernel, whose Gram matrix is then no larger than the block
+    and paid for by the run; it agrees with the sequential kernel of
+    :func:`rk_run` to rounding. Every other run is that sequential kernel.
     """
     setup = system.kaczmarz_setup(scheme)
     indices = _sampled_rows(setup, iters, scheme, rng)
-    if on_step is None and iters >= _CHUNK and len(setup[0]) <= min(iters, x.size):
+    if iters >= _CHUNK and len(setup[0]) <= min(iters, x.size):
         return _rk_dual(system, x, dead_tol, indices)
-    return _rk_sequential(setup, x, dead_tol, indices, on_step)
+    return _rk_sequential(setup, x, dead_tol, indices)
 
 
-def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
+def rk_run(system, x0, iters, scheme, rng, x_ref=None):
     """Run ``iters`` randomized Kaczmarz steps on ``system`` from ``x0``.
 
     Rows are drawn i.i.d. under ``scheme`` from ``rng``. Returns the final
-    iterate and an :class:`IterateTrace`; the trace logs ``||x_k - x_ref||``
-    when a reference is given, otherwise the residual norm. ``record=False``
-    skips the trace.
+    iterate and the array of ``||x_k - x_ref||`` for k = 0..iters, or of
+    the residual norms when no reference is given.
     """
     x = _as_point(system, x0, "x0").copy()
     iters = int(iters)
@@ -213,26 +184,16 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None, record=True):
     setup = system.kaczmarz_setup(scheme)
     indices = _sampled_rows(setup, iters, scheme, rng)
 
-    if not record:
-        x = _rk_sequential(setup, x, dead_tol, indices)
-        return x, IterateTrace(np.array([], dtype=np.int64), np.array([]), kind="none")
-
     def current_value(point):
         if x_ref is not None:
             return float(np.linalg.norm(point - x_ref))
         return system.residual_norm(point)
 
     values = [current_value(x)]
-    x = _rk_sequential(
-        setup, x, dead_tol, indices,
-        on_step=lambda point: values.append(current_value(point)),
-    )
-    trace = IterateTrace(
-        np.arange(len(values)),
-        np.array(values),
-        kind="error" if x_ref is not None else "residual",
-    )
-    return x, trace
+    for k in range(iters):
+        _rk_sequential(setup, x, dead_tol, indices[k:k + 1])
+        values.append(current_value(x))
+    return x, np.array(values)
 
 
 _POWER_MAX_ITERS = 10_000
@@ -317,16 +278,19 @@ class DecayFit:
     degenerate: bool = False
 
 
-def fit_decay_rate(trace):
+def fit_decay_rate(values):
     """Least-squares fit of log(error) vs. step, exponentiated.
 
+    ``values`` holds one finite, non-negative error per step from step 0.
     Errors at exact zero mean the run has converged past floating point;
     that reports rate 0 with the degenerate flag rather than failing.
     Entries below 1e-14 times the initial error are rounding noise and are
     dropped before fitting.
     """
-    values = np.asarray(trace.values, dtype=np.float64)
-    steps = np.asarray(trace.steps, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise ValueError("decay values must be finite and non-negative")
+    steps = np.arange(values.size, dtype=np.float64)
     if np.any(values == 0.0):
         return DecayFit(rate=0.0, r_squared=1.0, degenerate=True)
     if values.size:

@@ -77,6 +77,8 @@ _BROADCAST_HEAD = 20
 _SCHEMES = (SamplingScheme.squared_row_norm(), SamplingScheme.uniform())
 # pause between a client's attempts to reach a server that is not listening yet
 _CONNECT_RETRY_S = 0.01
+# most bytes one recv asks for: a declared length alone allocates no more
+_RECV_CHUNK = 1 << 20
 
 
 def _check_uint(value, bits, name):
@@ -304,7 +306,17 @@ class ClientSession:
         self.done = False
 
     def handle(self, msg):
-        """Process one server message, returning reply messages."""
+        """Process one server message, returning reply messages. A message
+        that fails validation (NaN or no rows, a NaN iterate) is a RoundError."""
+        try:
+            return self._handle(msg)
+        except ValueError as exc:
+            raise RoundError(
+                f"client {self.client_id} got an invalid {type(msg).__name__}: {exc}",
+                client_id=self.client_id,
+            ) from exc
+
+    def _handle(self, msg):
         if isinstance(msg, AssignPartition):
             if msg.client_id != self.client_id:
                 raise RoundError(
@@ -366,7 +378,7 @@ class _LoopbackConnection:
 def _recv_exact(sock, nbytes):
     buf = bytearray()
     while len(buf) < nbytes:
-        chunk = sock.recv(nbytes - len(buf))
+        chunk = sock.recv(min(nbytes - len(buf), _RECV_CHUNK))
         if not chunk:
             if buf:
                 raise Truncated("connection closed mid-frame", len(buf))

@@ -45,12 +45,7 @@ from fedrk.oracles import (
     intersection_projection,
     project_onto_solution_set,
 )
-from fedrk.solver import (
-    IterateTrace,
-    LinearSystem,
-    contraction_factor,
-    fit_decay_rate,
-)
+from fedrk.solver import LinearSystem, contraction_factor, fit_decay_rate
 from fedrk.transport import Endpoint, decode, encode, run_client, run_server
 
 UNIFORM = SamplingScheme.uniform()
@@ -168,7 +163,7 @@ def test_criterion_04_fedrk_linear_convergence():
     details = []
     for tau in spec.tau_list:
         curve = result.curves[tau]
-        fit = fit_decay_rate(IterateTrace(np.arange(curve.size), curve))
+        fit = fit_decay_rate(curve)
         fits[tau] = fit
         thresholds[tau] = rounds_to_threshold(curve, 1e-6)
         ok &= fit.rate < 1.0 and fit.r_squared > 0.9

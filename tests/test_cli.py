@@ -237,6 +237,30 @@ def test_client_oversized_frame_is_runtime_error(capsys):
     assert "frame declares 4294967295 payload bytes, at most 44 expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("nan_rows", "invalid AssignPartition: A contains non-finite entries"),
+    ("zero_rows", "invalid AssignPartition: A must have at least one row"),
+    ("nan_broadcast", "invalid Broadcast: x_global contains non-finite entries"),
+], ids=["nan_rows", "zero_rows", "nan_broadcast"])
+def test_client_invalid_peer_message_is_runtime_error(kind, message, capsys):
+    from fedrk.transport import AssignPartition, Broadcast, encode
+    from test_transport import serve_raw_frames
+
+    A = np.ones((2, 3))
+    if kind == "nan_rows":
+        A[1, 1] = np.nan
+    elif kind == "zero_rows":
+        A = np.zeros((0, 3))
+    frames = [encode(AssignPartition(0, A, np.ones(A.shape[0])))]
+    if kind == "nan_broadcast":
+        frames.append(encode(Broadcast(0, np.array([1.0, np.nan, 0.0]), 2, 7)))
+    port, server = serve_raw_frames(frames, 10.0)
+    code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
+    server.join(timeout=30)
+    assert code == 3
+    assert f"error: client 0 got an {message}" in capsys.readouterr().err
+
+
 def test_exp_lsq_with_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "spec.txt"
     spec_path.write_text(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedrk.core import RngStream
-from fedrk.datasets import FEATURE_NAMES, ProstateDataset, load_prostate
+from fedrk.datasets import load_prostate
 from fedrk.errors import SchemaError
 from fedrk.experiments import (
     ExperimentSpec,
@@ -306,29 +306,28 @@ def synthetic_prostate_file(path, rows=35, with_train=True, with_index=True, see
 def test_load_prostate_standardizes(tmp_path):
     path = tmp_path / "prostate.data"
     synthetic_prostate_file(path)
-    ds = load_prostate(path)
-    assert ds.features.shape == (35, 9)
-    assert np.all(ds.features[:, 0] == 1.0)
+    features, target = load_prostate(path)
+    assert features.shape == (35, 9) and target.shape == (35,)
+    assert np.all(features[:, 0] == 1.0)
     for j in range(1, 9):
-        assert abs(ds.features[:, j].mean()) <= 1e-10
-        assert abs(ds.features[:, j].std() - 1.0) <= 1e-10
-    assert ds.feature_names == FEATURE_NAMES
+        assert abs(features[:, j].mean()) <= 1e-10
+        assert abs(features[:, j].std() - 1.0) <= 1e-10
 
 
 def test_load_prostate_train_split(tmp_path):
     path = tmp_path / "prostate.data"
     synthetic_prostate_file(path, rows=30)
-    full = load_prostate(path)
-    train = load_prostate(path, use_train_split=True)
-    assert train.features.shape[0] == 20  # i % 3 != 0 rows
-    assert full.features.shape[0] == 30
+    full, _ = load_prostate(path)
+    train, train_target = load_prostate(path, use_train_split=True)
+    assert train.shape[0] == train_target.size == 20  # i % 3 != 0 rows
+    assert full.shape[0] == 30
 
 
 def test_load_prostate_without_optional_columns(tmp_path):
     path = tmp_path / "plain.data"
     synthetic_prostate_file(path, with_train=False, with_index=False)
-    ds = load_prostate(path)
-    assert ds.features.shape == (35, 9)
+    features, _ = load_prostate(path)
+    assert features.shape == (35, 9)
 
 
 def test_load_prostate_schema_errors(tmp_path):
@@ -347,17 +346,38 @@ def test_load_prostate_schema_errors(tmp_path):
         load_prostate(tmp_path / "nope.data")
 
 
-def test_prostate_dataset_invariants():
-    with pytest.raises(SchemaError):
-        ProstateDataset(np.ones((10, 9)), np.ones(10))  # predictors not standardized
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_load_prostate_names_the_line_of_a_non_finite_field(tmp_path, field):
+    path = tmp_path / "prostate.data"
+    synthetic_prostate_file(path, rows=5, with_train=False, with_index=False)
+    lines = path.read_text().splitlines()
+    fields = lines[3].split("\t")
+    fields[5] = field
+    lines[3] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=r"prostate\.data:4: non-finite value"):
+        load_prostate(path)
+
+
+def test_load_prostate_refuses_constant_or_overflowing_columns(tmp_path):
+    header = "lcavol lweight age lbph svi lcp gleason pgg45 lpsa\n"
+    path = tmp_path / "constant.data"
+    path.write_text(header + "1 2 3 4 5 6 7 8 9\n2 2 4 5 6 7 8 9 1\n")
+    with pytest.raises(SchemaError, match="constant column 'lweight'"):
+        load_prostate(path)
+    # finite entries whose variance overflows
+    path = tmp_path / "huge.data"
+    path.write_text(header + "1 2 3 4 5 6 7 1e300 9\n2 3 4 5 6 7 8 -1e300 1\n")
+    with pytest.raises(SchemaError, match="column 'pgg45' overflows"):
+        load_prostate(path)
 
 
 def test_prostate_env_var_override(tmp_path, monkeypatch):
     path = tmp_path / "env.data"
     synthetic_prostate_file(path)
     monkeypatch.setenv("FEDRK_PROSTATE_PATH", str(path))
-    ds = load_prostate()
-    assert ds.features.shape[0] == 35
+    features, _ = load_prostate()
+    assert features.shape[0] == 35
 
 
 def test_prostate_runner_counts(tmp_path):

@@ -364,6 +364,18 @@ def test_run_rejects_wrong_dimensions(run):
     assert x.shape == (3,)
 
 
+@pytest.mark.parametrize("run", [fed_run, _run_server_loopback], ids=["fed_run", "loopback"])
+def test_overflowing_distance_to_x_ref_is_a_numerical_error(run):
+    # rows that sum to zero keep the residual at 1e160·1 finite; the
+    # distance from there to -1e160·1 overflows
+    A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
+    x0 = np.full(3, 1e160)
+    with pytest.raises(NumericalError) as err:
+        run(LinearSystem(A, np.ones(3)), config(), x0, x_ref=-x0)
+    assert err.value.round_index == 0
+    assert str(err.value) == "round 0: the distance to x_ref is not finite"
+
+
 def test_fed_run_deterministic():
     system, x_star = gaussian_consistent(16, 4, 47)
     cfg = config(clients=4, participants=2, rounds=12, master_seed=99)

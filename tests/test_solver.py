@@ -8,7 +8,6 @@ from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq, zero_ro
 from fedrk.errors import DimensionMismatch, WeightError, ZeroRow
 from fedrk.federation import build_server_system
 from fedrk.solver import (
-    IterateTrace,
     LinearSystem,
     contraction_factor,
     decay_functional,
@@ -29,7 +28,7 @@ def gaussian_consistent(m, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# LinearSystem / IterateTrace
+# LinearSystem
 # ---------------------------------------------------------------------------
 
 def test_linear_system_validation():
@@ -51,43 +50,37 @@ def test_linear_system_rejects_overflowing_row_norm():
     LinearSystem(1e150 * A[:3], np.ones(3))  # squares near 1e300 still fit
 
 
-def test_iterate_trace_validation():
-    with pytest.raises(ValueError):
-        IterateTrace([1, 2], [0.5, 0.25])
-    with pytest.raises(ValueError):
-        IterateTrace([0, 1], [0.5, -0.1])
-
-
 # ---------------------------------------------------------------------------
 # rk_run
 # ---------------------------------------------------------------------------
 
 def test_rk_run_identity_system_converges():
     system = LinearSystem(np.eye(2), np.array([1.0, 2.0]))
-    x, trace = rk_run(system, np.zeros(2), 200, UNIFORM, RngStream(1))
+    x, residuals = rk_run(system, np.zeros(2), 200, UNIFORM, RngStream(1))
     assert np.linalg.norm(x - np.array([1.0, 2.0])) < 1e-8
-    assert trace.values[-1] < 1e-8
+    assert residuals.shape == (201,)
+    assert residuals[0] == pytest.approx(np.sqrt(5.0)) and residuals[-1] < 1e-8
 
 
 def test_rk_run_from_exact_solution_stays():
     system, x_star = gaussian_consistent(12, 4, 2)
-    x, trace = rk_run(system, x_star, 100, SQNORM, RngStream(3), x_ref=x_star)
-    assert np.all(trace.values <= 1e-12)
+    x, errors = rk_run(system, x_star, 100, SQNORM, RngStream(3), x_ref=x_star)
+    assert errors.shape == (101,) and np.all(errors <= 1e-12)
     assert np.allclose(x, x_star, atol=1e-12)
 
 
 def test_rk_run_zero_iters_returns_x0():
     system, _ = gaussian_consistent(6, 3, 4)
     x0 = np.array([1.0, -2.0, 0.5])
-    x, trace = rk_run(system, x0, 0, SQNORM, RngStream(5))
+    x, residuals = rk_run(system, x0, 0, SQNORM, RngStream(5))
     assert np.array_equal(x, x0)
-    assert trace.steps.tolist() == [0]
+    assert residuals.tolist() == [system.residual_norm(x0)]
 
 
 def test_rk_run_matches_repeated_rk_step():
     system, _ = gaussian_consistent(8, 3, 6)
     iters = 25
-    x, _ = rk_run(system, np.zeros(3), iters, SQNORM, RngStream(7), record=False)
+    x, _ = rk_run(system, np.zeros(3), iters, SQNORM, RngStream(7))
     from fedrk.core import sample_rows
 
     idx = sample_rows(SQNORM, RngStream(7), system.A, iters)
@@ -99,10 +92,10 @@ def test_rk_run_matches_repeated_rk_step():
 
 def test_rk_run_continuation_equals_single_run():
     system, _ = gaussian_consistent(10, 4, 8)
-    whole, _ = rk_run(system, np.zeros(4), 30, SQNORM, RngStream(11, (2,)), record=False)
+    whole, _ = rk_run(system, np.zeros(4), 30, SQNORM, RngStream(11, (2,)))
     stream = RngStream(11, (2,))
-    part, _ = rk_run(system, np.zeros(4), 12, SQNORM, stream, record=False)
-    rest, _ = rk_run(system, part, 18, SQNORM, stream, record=False)
+    part, _ = rk_run(system, np.zeros(4), 12, SQNORM, stream)
+    rest, _ = rk_run(system, part, 18, SQNORM, stream)
     assert np.array_equal(whole, rest)
 
 
@@ -144,18 +137,19 @@ def test_rk_run_dimension_mismatch():
 # rk_iterate: the dual kernel against the sequential one
 # ---------------------------------------------------------------------------
 
-def _no_step(x):
-    pass
+def sequential_kernel(system, x, dead_tol, iters, scheme, rng):
+    """rk_iterate without its choice of kernel: always the sequential one."""
+    setup = system.kaczmarz_setup(scheme)
+    indices = solver._sampled_rows(setup, iters, scheme, rng)
+    return solver._rk_sequential(setup, x, dead_tol, indices)
 
 
 def both_kernels(system, x0, iters, scheme, seed):
-    """rk_iterate's own choice of kernel, and its sequential kernel (an on_step
-    forces it), on the same stream."""
+    """rk_iterate's own choice of kernel, and its sequential kernel, on the
+    same stream."""
     dead_tol = zero_row_tol(float(np.linalg.norm(x0))) ** 2
     chosen = rk_iterate(system, x0.copy(), dead_tol, iters, scheme, RngStream(seed))
-    sequential = rk_iterate(
-        system, x0.copy(), dead_tol, iters, scheme, RngStream(seed), on_step=_no_step
-    )
+    sequential = sequential_kernel(system, x0.copy(), dead_tol, iters, scheme, RngStream(seed))
     return chosen, sequential
 
 
@@ -212,11 +206,12 @@ def test_outside_the_dual_rule_runs_are_bit_identical(rows, cols, iters):
     assert np.array_equal(chosen, sequential)
 
 
-@pytest.mark.parametrize("record", [True, False])
-def test_rk_run_is_the_sequential_kernel_on_dual_shapes(record):
-    system, _ = gaussian_consistent(10, 100, 12)
+@pytest.mark.parametrize("with_ref", [True, False])
+def test_rk_run_is_the_sequential_kernel_on_dual_shapes(with_ref):
+    system, x_star = gaussian_consistent(10, 100, 12)
     x0 = np.ones(100)
-    x, _ = rk_run(system, x0, 2000, SQNORM, RngStream(4), record=record)
+    x_ref = x_star if with_ref else None
+    x, _ = rk_run(system, x0, 2000, SQNORM, RngStream(4), x_ref=x_ref)
     _, sequential = both_kernels(system, x0, 2000, SQNORM, 4)
     assert np.array_equal(x, sequential)
 
@@ -226,9 +221,9 @@ def test_dual_kernel_consumes_the_same_draws():
     system, _ = gaussian_consistent(10, 100, 13)
     dead_tol = zero_row_tol(0.0) ** 2
     nexts = []
-    for on_step in (None, _no_step):
+    for kernel in (rk_iterate, sequential_kernel):
         stream = RngStream(99)
-        rk_iterate(system, np.zeros(100), dead_tol, 70, SQNORM, stream, on_step)
+        kernel(system, np.zeros(100), dead_tol, 70, SQNORM, stream)
         nexts.append(stream.generator.random())
     assert nexts[0] == nexts[1]
 
@@ -241,9 +236,9 @@ def test_zero_row_has_the_same_message_in_both_kernels():
     named = set()
     for seed in range(6):
         messages = []
-        for on_step in (None, _no_step):
+        for kernel in (rk_iterate, sequential_kernel):
             with pytest.raises(ZeroRow) as err:
-                rk_iterate(system, np.zeros(4), 1e-24, 64, UNIFORM, RngStream(seed), on_step)
+                kernel(system, np.zeros(4), 1e-24, 64, UNIFORM, RngStream(seed))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         named.add(messages[0])
@@ -331,35 +326,40 @@ def test_decay_functional_range_and_errors():
 # ---------------------------------------------------------------------------
 
 def test_fit_decay_rate_geometric():
-    trace = IterateTrace([0, 1, 2, 3], [1.0, 0.5, 0.25, 0.125])
-    fit = fit_decay_rate(trace)
+    fit = fit_decay_rate([1.0, 0.5, 0.25, 0.125])
     assert fit.rate == pytest.approx(0.5, rel=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert not fit.degenerate
 
 
 def test_fit_decay_rate_constant():
-    fit = fit_decay_rate(IterateTrace([0, 1, 2], [1.0, 1.0, 1.0]))
+    fit = fit_decay_rate([1.0, 1.0, 1.0])
     assert fit.rate == pytest.approx(1.0, rel=1e-12)
 
 
 def test_fit_decay_rate_noisy_regression():
-    fit = fit_decay_rate(IterateTrace([0, 1, 2], [1.0, 0.51, 0.24]))
+    fit = fit_decay_rate([1.0, 0.51, 0.24])
     assert 0.45 <= fit.rate <= 0.55
 
 
 def test_fit_decay_rate_degenerate_zero():
-    fit = fit_decay_rate(IterateTrace([0, 1, 2], [1.0, 0.5, 0.0]))
+    fit = fit_decay_rate(np.array([1.0, 0.5, 0.0]))
     assert fit.degenerate
     assert fit.rate == 0.0
 
 
 def test_fit_decay_rate_drops_noise_floor():
     values = [1.0, 0.1, 0.01, 1e-16, 2e-16]
-    fit = fit_decay_rate(IterateTrace(range(5), values))
+    fit = fit_decay_rate(values)
     assert fit.rate == pytest.approx(0.1, rel=1e-6)
 
 
 def test_fit_decay_rate_needs_three_points():
     with pytest.raises(ValueError):
-        fit_decay_rate(IterateTrace([0, 1], [1.0, 0.5]))
+        fit_decay_rate([1.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_fit_decay_rate_rejects_negative_or_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        fit_decay_rate([1.0, 0.5, bad, 0.125])

@@ -3,6 +3,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -589,6 +590,22 @@ def test_client_rejects_oversized_broadcast_frame_before_payload(declared):
     elapsed = time.monotonic() - start
     server.join(timeout=30)
     assert elapsed < timeout / 4
+
+
+def test_declared_length_alone_allocates_little():
+    # a header declaring 64 MiB, then end-of-stream: each recv asks for at most 1 MiB
+    reader, writer = socket.socketpair()
+    writer.sendall(b"FK" + bytes([1, 2]) + (64 << 20).to_bytes(4, "little"))
+    writer.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(Truncated):
+            read_frame(reader)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        reader.close()
+    assert peak < 8 << 20
 
 
 def test_socket_duplicate_client_id_rejected():
