@@ -1,11 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error that is also a ``ValueError`` is a mistake in the caller's input
+(a shape, a client count, a block with no nonzero row): the CLI exits 2 for
+it, as for any ``ValueError``, and 3 for every other error.
+"""
 
 
 class FedRKError(Exception):
     """Base class for all fedrk-specific errors."""
 
 
-class DimensionMismatch(FedRKError):
+class DimensionMismatch(FedRKError, ValueError):
     pass
 
 
@@ -13,7 +18,7 @@ class ZeroRow(FedRKError):
     pass
 
 
-class AllRowsZero(FedRKError):
+class AllRowsZero(ZeroRow, ValueError):
     pass
 
 
@@ -21,7 +26,7 @@ class WeightError(FedRKError):
     pass
 
 
-class TooManyClients(FedRKError):
+class TooManyClients(FedRKError, ValueError):
     pass
 
 

@@ -23,7 +23,14 @@ from .core import (
     row_norms_sq,
     zero_row_tol,
 )
-from .errors import DimensionMismatch, FedRKError, NumericalError, RoundError, TooManyClients
+from .errors import (
+    AllRowsZero,
+    DimensionMismatch,
+    FedRKError,
+    NumericalError,
+    RoundError,
+    TooManyClients,
+)
 from .solver import LinearSystem, _as_point, gram_matrix, rk_iterate
 
 __all__ = [
@@ -71,7 +78,12 @@ def client_blocks(system, clients):
     blocks, start = [], 0
     for cid in range(clients):
         stop = start + base + (1 if cid < extra else 0)
-        blocks.append(LinearSystem(system.A[start:stop], system.b[start:stop]))
+        try:
+            blocks.append(LinearSystem(system.A[start:stop], system.b[start:stop]))
+        except AllRowsZero:
+            raise AllRowsZero(
+                f"client {cid}'s rows {start} to {stop - 1} are all zero"
+            ) from None
         start = stop
     return blocks
 
@@ -320,7 +332,8 @@ def run_rounds(system, config, x0, on_round, step=None):
     round 0, then the result of each ``step(t, x) -> (x_next, participants,
     dropped)``; returning True after a round stops the run. The default
     step is :func:`fed_round` on the system's blocks. A NumericalError from
-    a step is given the round it happened in.
+    a step is given the round it happened in. numpy's overflow warnings are
+    off for the whole loop, so an overflow shows only as that typed error.
     """
     x = _as_point(system, x0, "x0").copy()
     if step is None:
@@ -329,15 +342,16 @@ def run_rounds(system, config, x0, on_round, step=None):
         def step(t, x):
             return fed_round(blocks, x, config, RoundStreams.derive(config.master_seed, t))
 
-    on_round(0, x, (), 0)
-    for t in range(config.rounds):
-        try:
-            x, participants, dropped = step(t, x)
-        except NumericalError as exc:
-            exc.round_index = t + 1
-            raise
-        if on_round(t + 1, x, participants, dropped):
-            break
+    with np.errstate(over="ignore"):
+        on_round(0, x, (), 0)
+        for t in range(config.rounds):
+            try:
+                x, participants, dropped = step(t, x)
+            except NumericalError as exc:
+                exc.round_index = t + 1
+                raise
+            if on_round(t + 1, x, participants, dropped):
+                break
     return x
 
 

@@ -12,7 +12,7 @@ from .core import (
     sample_rows,
     zero_row_tol,
 )
-from .errors import DimensionMismatch, WeightError, ZeroRow
+from .errors import AllRowsZero, DimensionMismatch, WeightError, ZeroRow
 
 __all__ = [
     "LinearSystem",
@@ -47,7 +47,7 @@ class LinearSystem:
                 f"row {int(overflow.argmax())} of A has a squared norm that overflows"
             )
         if not np.any(row_sq > 0.0):
-            raise ZeroRow("system needs at least one row with positive norm")
+            raise AllRowsZero("system needs at least one row with positive norm")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "row_sq", row_sq)
@@ -196,17 +196,11 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None):
     return x, np.array(values)
 
 
-_POWER_MAX_ITERS = 10_000
-_POWER_TOL = 1e-10
-
-
 def contraction_factor(A, scheme):
     """Largest eigenvalue of sum_s p(s) (I - a_s a_s^T) over normalized rows.
 
-    Governs the expected squared-error decay of one RK step. Computed by
-    power iteration from a fixed fan of start vectors; the all-ones start
-    alone can sit exactly orthogonal to the top eigenspace (e.g. the single
-    row (1, 1) in the plane), so two more deterministic starts back it up.
+    Governs the expected squared-error decay of one RK step. Computed
+    exactly, by one symmetric eigensolve.
     """
     A = as_matrix(A, name="A")
     row_sq = row_norms_sq(A)
@@ -214,34 +208,9 @@ def contraction_factor(A, scheme):
     if np.any(row_sq == 0.0):
         raise ZeroRow("contraction factor needs every row to have positive norm")
     unit = A / np.sqrt(row_sq)[:, None]
-    n = A.shape[1]
     # Q = I - U^T diag(p) U, symmetric PSD with spectrum in [0, 1]
-    Q = np.eye(n) - (unit * probs[:, None]).T @ unit
-    Q = 0.5 * (Q + Q.T)
-
-    starts = [np.full(n, 1.0 / np.sqrt(n))]
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    starts.append(e1)
-    ramp = np.arange(1.0, n + 1.0)
-    starts.append(ramp / np.linalg.norm(ramp))
-
-    best = 0.0
-    for v in starts:
-        lam_prev = None
-        for _ in range(_POWER_MAX_ITERS):
-            w = Q @ v
-            lam = float(v @ w)
-            wn = float(np.linalg.norm(w))
-            if wn < 1e-30:
-                lam = 0.0
-                break
-            v = w / wn
-            if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(abs(lam), 1e-30):
-                break
-            lam_prev = lam
-        best = max(best, lam)
-    return min(max(best, 0.0), 1.0)
+    Q = np.eye(A.shape[1]) - (unit * probs[:, None]).T @ unit
+    return min(max(float(np.linalg.eigvalsh(Q)[-1]), 0.0), 1.0)
 
 
 def decay_functional(normals, p, y):

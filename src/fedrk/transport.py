@@ -81,13 +81,6 @@ _CONNECT_RETRY_S = 0.01
 _RECV_CHUNK = 1 << 20
 
 
-def _check_uint(value, bits, name):
-    value = int(value)
-    if not 0 <= value <= (2**bits - 1):
-        raise ValueError(f"{name} must fit in {bits} unsigned bits")
-    return value
-
-
 class _Message:
     """Field-wise equality that compares array fields by value."""
 
@@ -138,52 +131,41 @@ def _f64_bytes(array):
 
 
 def encode(msg):
-    """Serialize a message into one frame."""
+    """Serialize a message into one frame.
+
+    A field that is not an integer or does not fit its unsigned wire width
+    raises ValueError.
+    """
+    try:
+        msg_type, payload = _payload(msg)
+    except struct.error as exc:
+        raise ValueError(f"cannot encode {type(msg).__name__}: {exc}") from None
+    return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+
+
+def _payload(msg):
     if isinstance(msg, AssignPartition):
         A = np.asarray(msg.A, dtype=np.float64)
         b = np.asarray(msg.b, dtype=np.float64)
         rows, cols = A.shape
         if b.shape != (rows,):
             raise ValueError("b must have one entry per row of A")
-        payload = struct.pack(
-            "<IIII",
-            _check_uint(msg.client_id, 32, "client_id"),
-            _check_uint(rows, 32, "rows"),
-            _check_uint(cols, 32, "cols"),
-            _SCHEMES.index(msg.scheme),
-        ) + _f64_bytes(A) + _f64_bytes(b)
-        msg_type = MSG_ASSIGN
-    elif isinstance(msg, Broadcast):
+        head = struct.pack("<IIII", msg.client_id, rows, cols, _SCHEMES.index(msg.scheme))
+        return MSG_ASSIGN, head + _f64_bytes(A) + _f64_bytes(b)
+    if isinstance(msg, Broadcast):
         x = np.asarray(msg.x, dtype=np.float64)
-        payload = (
-            struct.pack(
-                "<II",
-                _check_uint(msg.round_index, 32, "round"),
-                _check_uint(x.size, 32, "n"),
-            )
+        return MSG_BROADCAST, (
+            struct.pack("<II", msg.round_index, x.size)
             + _f64_bytes(x)
-            + struct.pack(
-                "<IQ",
-                _check_uint(msg.local_iters, 32, "local_iters"),
-                _check_uint(msg.stream_seed, 64, "stream_seed"),
-            )
+            + struct.pack("<IQ", msg.local_iters, msg.stream_seed)
         )
-        msg_type = MSG_BROADCAST
-    elif isinstance(msg, Delta):
+    if isinstance(msg, Delta):
         delta = np.asarray(msg.delta, dtype=np.float64)
-        payload = struct.pack(
-            "<III",
-            _check_uint(msg.round_index, 32, "round"),
-            _check_uint(msg.client_id, 32, "client_id"),
-            _check_uint(delta.size, 32, "n"),
-        ) + _f64_bytes(delta)
-        msg_type = MSG_DELTA
-    elif isinstance(msg, Shutdown):
-        payload = b""
-        msg_type = MSG_SHUTDOWN
-    else:
-        raise TypeError(f"not a transport message: {type(msg).__name__}")
-    return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+        head = struct.pack("<III", msg.round_index, msg.client_id, delta.size)
+        return MSG_DELTA, head + _f64_bytes(delta)
+    if isinstance(msg, Shutdown):
+        return MSG_SHUTDOWN, b""
+    raise TypeError(f"not a transport message: {type(msg).__name__}")
 
 
 class _PayloadReader:
@@ -218,6 +200,19 @@ class _PayloadReader:
             raise LengthMismatch("trailing bytes in payload", self._base + self._pos)
 
 
+def _check_header(buf):
+    """``(message type, payload length)`` of a frame's header, once its
+    magic, version and type are checked."""
+    magic, version, msg_type, payload_len = _HEADER.unpack_from(buf, 0)
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic {magic!r}", 0)
+    if version != VERSION:
+        raise BadVersion(f"unsupported version {version}", 2)
+    if msg_type not in (MSG_ASSIGN, MSG_BROADCAST, MSG_DELTA, MSG_SHUTDOWN):
+        raise BadType(f"unknown message type {msg_type}", 3)
+    return msg_type, payload_len
+
+
 def decode(data):
     """Parse one frame; the exact inverse of :func:`encode`.
 
@@ -227,13 +222,7 @@ def decode(data):
     buf = bytes(data)
     if len(buf) < _HEADER.size:
         raise Truncated("incomplete frame header", len(buf))
-    magic, version, msg_type, payload_len = _HEADER.unpack_from(buf, 0)
-    if magic != MAGIC:
-        raise BadMagic(f"bad magic {magic!r}", 0)
-    if version != VERSION:
-        raise BadVersion(f"unsupported version {version}", 2)
-    if msg_type not in (MSG_ASSIGN, MSG_BROADCAST, MSG_DELTA, MSG_SHUTDOWN):
-        raise BadType(f"unknown message type {msg_type}", 3)
+    msg_type, payload_len = _check_header(buf)
     if len(buf) < _HEADER.size + payload_len:
         raise Truncated("payload shorter than declared", len(buf))
     if len(buf) > _HEADER.size + payload_len:
@@ -390,13 +379,14 @@ def _recv_exact(sock, nbytes):
 def read_frame(sock, max_payload=None):
     """Read one frame from a socket; None on clean end-of-stream.
 
-    A header declaring more than ``max_payload`` payload bytes raises
-    LengthMismatch before any of the payload is read.
+    A header that is not fedrk's, or that declares more than
+    ``max_payload`` payload bytes, raises a CodecError before any of the
+    payload is read.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
-    _, _, _, payload_len = _HEADER.unpack(header)
+    _, payload_len = _check_header(header)
     if max_payload is not None and payload_len > max_payload:
         raise LengthMismatch(
             f"frame declares {payload_len} payload bytes, at most {max_payload} expected", 4
@@ -494,7 +484,7 @@ def _accept_clients(endpoint, clients, cols, timeout):
     return conns
 
 
-def _recv_delta(conn, round_index):
+def _recv_delta(conn, round_index, cols):
     cid = conn.client_id
     msg = conn.recv()
     if not isinstance(msg, Delta):
@@ -506,6 +496,11 @@ def _recv_delta(conn, round_index):
     if msg.client_id != cid:
         raise RoundError(
             f"delta labelled {msg.client_id} arrived on connection {cid}", client_id=cid
+        )
+    if msg.delta.size != cols:
+        raise RoundError(
+            f"client {cid} sent {msg.delta.size} delta entries for {cols} columns",
+            client_id=cid,
         )
     return msg.delta
 
@@ -538,7 +533,7 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
             conns[cid].send(Broadcast(
                 t, x, config.local_iters, local_stream_seed(config.master_seed, t, cid)
             ))
-        deltas = [(cid, _recv_delta(conns[cid], t)) for cid in participants]
+        deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
         x_next, kept = apply_server_round(deltas, x, config, streams.server, round_tol(x))
         return x_next, participants, len(deltas) - len(kept)
 

@@ -100,6 +100,30 @@ def test_solve_config_error_exit_code(small_problem, tmp_path):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("short_rhs", "A has 6 rows but b has 5 entries"),
+    ("too_many_clients", "7 clients for 6 rows"),
+    ("zero_block", "client 1's rows 2 to 3 are all zero"),
+], ids=["short_rhs", "too_many_clients", "zero_block"])
+def test_solve_input_mistake_is_config_error(kind, message, tmp_path, capsys):
+    A = np.random.default_rng(5).standard_normal((6, 3))
+    b = A @ np.ones(3)
+    clients = 3
+    if kind == "short_rhs":
+        b = b[:5]
+    elif kind == "too_many_clients":
+        clients = 7
+    else:
+        A[2:4] = 0.0
+    save_matrix_csv(tmp_path / "A.csv", A)
+    save_vector_csv(tmp_path / "b.csv", b)
+    args = solve_args(tmp_path / "A.csv", tmp_path / "b.csv", tmp_path / "trace.csv")
+    args[args.index("--clients") + 1] = str(clients)
+    assert main(args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_solve_missing_file_exit_code(tmp_path):
     out = tmp_path / "trace.csv"
     args = solve_args(tmp_path / "missing.csv", tmp_path / "missing_b.csv", out)
@@ -180,6 +204,7 @@ def test_solve_tcp_client_scheme_mismatch_is_runtime_error(tmp_path, capsys):
     assert "client 1 was started with scheme sqnorm" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_overflow_is_runtime_error(tmp_path, capsys):
     # a right-hand side near 1e200 overflows the residual before any round runs
     g = np.random.default_rng(3)
@@ -235,6 +260,20 @@ def test_client_oversized_frame_is_runtime_error(capsys):
     server.join(timeout=30)
     assert code == 3
     assert "frame declares 4294967295 payload bytes, at most 44 expected" in capsys.readouterr().err
+
+
+def test_client_exits_at_once_on_a_peer_that_is_not_fedrk(capsys):
+    # read as a header, "HTTP/1.1" declares an 825,110,831-byte payload
+    from test_transport import serve_raw_frames
+
+    port, server = serve_raw_frames([b"HTTP/1.1 200 OK\r\n\r\n"], 10.0)
+    start = time.monotonic()
+    code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
+    elapsed = time.monotonic() - start
+    server.join(timeout=30)
+    assert code == 3
+    assert elapsed < 1.0
+    assert "bad magic b'HT'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, message", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedrk.core import RngStream, SamplingScheme
-from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients
+from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients, ZeroRow
 from fedrk.federation import (
     RoundStreams,
     RunConfig,
@@ -67,6 +67,14 @@ def test_partition_too_many_clients():
         client_blocks(system, 4)
     with pytest.raises(ValueError):
         client_blocks(system, 0)
+
+
+def test_partition_names_the_client_of_an_all_zero_block():
+    A = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ZeroRow) as err:
+        client_blocks(LinearSystem(A, np.ones(5)), 3)
+    assert str(err.value) == "client 1's rows 2 to 3 are all zero"
+    assert isinstance(err.value, ValueError)
 
 
 def test_client_blocks_slicing():
@@ -364,6 +372,7 @@ def test_run_rejects_wrong_dimensions(run):
     assert x.shape == (3,)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("run", [fed_run, _run_server_loopback], ids=["fed_run", "loopback"])
 def test_overflowing_distance_to_x_ref_is_a_numerical_error(run):
     # rows that sum to zero keep the residual at 1e160·1 finite; the

@@ -277,6 +277,25 @@ def test_contraction_factor_matches_grid_maximum():
         assert abs(alpha - grid_max) < 1e-3
 
 
+@pytest.mark.parametrize("scheme", [UNIFORM, SQNORM], ids=["uniform", "sqnorm"])
+def test_contraction_factor_is_the_decay_at_the_top_eigenvector(scheme):
+    # alpha is the maximum of the decay functional over unit vectors, so it
+    # equals the decay at the top eigenvector of sum_s p_s (I - n_s n_s^T)
+    # and, up to rounding, is never below it
+    A = np.random.default_rng(7).standard_normal((400, 200))
+    probs = scheme.probabilities(row_norms_sq(A))
+    rows = list(A)
+    expected = np.zeros((200, 200))
+    for p_s, row in zip(probs, rows):
+        unit = row / np.linalg.norm(row)
+        expected += p_s * (np.eye(200) - np.outer(unit, unit))
+    top = np.linalg.eigh(expected)[1][:, -1]
+    value = decay_functional(rows, probs, top)
+    alpha = contraction_factor(A, scheme)
+    assert abs(alpha - value) <= 1e-10
+    assert alpha >= value - 1e-12
+
+
 def test_expected_step_decay_identity():
     # E||x_1||^2 enumerated over rows equals ||x||^2 f(rows, p, x/||x||)
     g = np.random.default_rng(14)

@@ -187,6 +187,8 @@ def test_encode_rejects_out_of_range_fields():
         encode(Broadcast(0, np.zeros(1), 2**32, 0))
     with pytest.raises(ValueError):
         encode(Broadcast(0, np.zeros(1), 0, 2**64))
+    with pytest.raises(ValueError):
+        encode(Broadcast(0, np.zeros(1), 2.5, 0))  # not truncated to 2
     with pytest.raises(TypeError):
         encode("not a message")
 
@@ -515,6 +517,20 @@ def test_socket_non_finite_delta_names_client():
     assert "non-finite" in str(err)
 
 
+def test_socket_short_delta_names_client():
+    system, _ = gaussian_consistent(8, 4, 11)
+    port = free_port()
+    server, result = serve_in_thread(system, one_client_config(), port, timeout=5.0)
+    sock = join_first_broadcast(port)
+    write_frame(sock, Delta(0, 0, np.ones(3)))
+    server.join(timeout=30)
+    sock.close()
+    err = result.get("error")
+    assert isinstance(err, RoundError)
+    assert err.client_id == 0
+    assert str(err) == "client 0 sent 3 delta entries for 4 columns"
+
+
 def test_socket_oversized_delta_frame_rejected_before_payload():
     system, _ = gaussian_consistent(6, 2, 12)
     port = free_port()
@@ -565,7 +581,10 @@ def serve_raw_frames(frames, timeout):
                 read_frame(sock)  # the hello
                 for frame in frames:
                     sock.sendall(frame)
-                sock.recv(1)
+                try:
+                    sock.recv(1)
+                except ConnectionResetError:
+                    pass  # the client hung up with bytes of ours unread
 
     server = threading.Thread(target=serve)
     server.start()
