@@ -196,23 +196,23 @@ class ConvergenceResult:
 
 
 def run_convergence_experiment(spec, out_dir=None):
-    """Median error-vs-round curves of the plain federated run, one per tau."""
-    curves = {}
-    for tau in spec.tau_list:
-        errs = np.empty((spec.trials, spec.rounds + 1))
-        for trial in range(spec.trials):
-            system, x_star = gen_gaussian_system(
-                spec.m, spec.n, RngStream(spec.seed, ("data", trial))
-            )
+    """Median error-vs-round curves of the plain federated run, one per tau;
+    each trial's system is built once and run at every tau."""
+    errs = {tau: np.empty((spec.trials, spec.rounds + 1)) for tau in spec.tau_list}
+    for trial in range(spec.trials):
+        system, x_star = gen_gaussian_system(
+            spec.m, spec.n, RngStream(spec.seed, ("data", trial))
+        )
+        for tau in spec.tau_list:
             config = _run_config(spec, trial, tau, local_iters=tau)
-            e = errs[trial]
+            e = errs[tau][trial]
 
             def on_round(t, x, participants, dropped):
                 e[t] = np.linalg.norm(x - x_star)
 
             run_rounds(system, config, np.zeros(spec.n), on_round)
             e /= e[0]
-        curves[tau] = np.median(errs, axis=0)
+    curves = {tau: np.median(errs[tau], axis=0) for tau in spec.tau_list}
     result = ConvergenceResult(spec, curves)
     if out_dir is not None:
         _write(out_dir, "convergence.csv", result.csv_text())

@@ -210,7 +210,10 @@ def sample_clients(clients, participants, rng):
 
 def round_tol(x_global):
     """Norm at or below which a model change or row counts as zero in a round."""
-    return zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
+    tol = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
+    if not math.isfinite(tol):
+        raise NumericalError("the iterate's squared norm overflows")
+    return tol
 
 
 def _local_delta(block, x_global, local_iters, scheme, rng, dead_tol_sq):

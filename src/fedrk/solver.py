@@ -4,6 +4,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# the gufunc (LAPACK gesv) that np.linalg.solve calls, without its wrapper
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .core import (
     as_matrix,
@@ -113,13 +115,13 @@ def _rk_sequential(setup, x, dead_tol, indices):
     """One projection per sampled row, in order: the reference kernel."""
     rows, b_list, sq_list, _ = setup
     tmp = np.empty_like(x)
-    dot, mul, add = np.dot, np.multiply, np.add
+    mul, add = np.multiply, np.add
     for j in indices.tolist():
         sq = sq_list[j]
         if sq <= dead_tol:
             raise ZeroRow(f"sampled row {j} is numerically zero")
         aj = rows[j]
-        mul(aj, (b_list[j] - dot(aj, x)) / sq, out=tmp)
+        mul(aj, (b_list[j] - aj.dot(x)) / sq, out=tmp)
         add(x, tmp, out=x)
     return x
 
@@ -129,23 +131,24 @@ def _rk_dual(system, x, dead_tol, indices):
 
     Keeps the residual r = b - A x. The steps of a chunk J of sampled rows
     solve the lower triangle of G[J, J] against r[J]; then r -= G[:, J]
-    steps, and x takes Aᵀc once at the end.
+    steps, and x takes Aᵀc once at the end. A run that overflows, in a
+    solve or elsewhere, leaves x non-finite without a warning.
     """
     A, b, G = system.dual_setup()
     dead = G.diagonal()[indices] <= dead_tol
     if dead.any():
         raise ZeroRow(f"sampled row {indices[dead.argmax()]} is numerically zero")
-    r = b - A @ x
     steps = np.empty(indices.size)
-    solve = np.linalg.solve
-    for k in range(0, indices.size, _CHUNK):
-        J = indices[k:k + _CHUNK]
-        GJ = G[J]
-        t = J.size
-        s = solve(GJ[:, J] * _LOWER[:t, :t], r[J])
-        r -= s @ GJ
-        steps[k:k + t] = s
-    x += np.bincount(indices, weights=steps, minlength=b.size) @ A
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = b - A @ x
+        for k in range(0, indices.size, _CHUNK):
+            J = indices[k:k + _CHUNK]
+            GJ = G.take(J, 0)
+            t = J.size
+            s = _solve1(GJ.take(J, 1) * _LOWER[:t, :t], r.take(J), signature="dd->d")
+            r -= s @ GJ
+            steps[k:k + t] = s
+        x += np.bincount(indices, weights=steps, minlength=b.size) @ A
     return x
 
 

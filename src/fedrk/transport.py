@@ -29,6 +29,7 @@ from .errors import (
     CodecError,
     ConnectionLost,
     LengthMismatch,
+    NumericalError,
     RoundError,
     Truncated,
 )
@@ -327,9 +328,16 @@ class ClientSession:
                     f"client {self.client_id} has no partition", client_id=self.client_id
                 )
             rng = RngStream(msg.stream_seed)
-            delta = client_local_update(
-                self.block, msg.x, msg.local_iters, self.scheme, rng
-            )
+            try:
+                with np.errstate(over="ignore"):  # overflow shows only as NumericalError
+                    delta = client_local_update(
+                        self.block, msg.x, msg.local_iters, self.scheme, rng
+                    )
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"client {self.client_id} failed: {exc}",
+                    client_id=self.client_id, round_index=msg.round_index + 1,
+                ) from exc
             return [Delta(msg.round_index, self.client_id, delta)]
         if isinstance(msg, Shutdown):
             self.done = True
@@ -529,12 +537,13 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     def step(t, x):
         streams = RoundStreams.derive(config.master_seed, t)
         participants = sample_clients(config.clients, config.participants, streams.select)
+        tol = round_tol(x)  # before the broadcast, as in fed_round
         for cid in participants:
             conns[cid].send(Broadcast(
                 t, x, config.local_iters, local_stream_seed(config.master_seed, t, cid)
             ))
         deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
-        x_next, kept = apply_server_round(deltas, x, config, streams.server, round_tol(x))
+        x_next, kept = apply_server_round(deltas, x, config, streams.server, tol)
         return x_next, participants, len(deltas) - len(kept)
 
     try:

@@ -207,9 +207,10 @@ def test_build_server_system_non_finite_delta_names_client(bad):
 
 
 def test_build_server_system_overflowing_d_names_client():
-    # ||delta||^2 is finite but <delta, delta + x> overflows
+    # ||delta||^2 is finite but <delta, delta + x> overflows; called outside
+    # a run, numpy warns of the overflow before the typed error
     deltas = [(0, np.ones(2)), (5, np.array([1e154, 0.0]))]
-    with pytest.raises(NumericalError) as err:
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericalError) as err:
         build_server_system(deltas, np.array([1e155, 0.0]), 1e-12)
     assert err.value.client_id == 5
 
@@ -239,6 +240,49 @@ def test_overflowing_client_is_named_with_its_round():
         run_rounds(LinearSystem(A, b), cfg, np.zeros(2), lambda *args: None)
     assert (err.value.client_id, err.value.round_index) == (2, 1)
     assert str(err.value).startswith("round 1: client 2")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run", ["run_rounds", "loopback"])
+def test_overflowing_round_tolerance_is_a_numerical_error(run):
+    # ||x||^2 overflows, so the round's zero tolerance would be inf and
+    # every row would count as zero; rows that sum to zero keep the
+    # loopback run's round-0 residual finite
+    A = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
+    system, x0 = LinearSystem(A, np.ones(3)), np.full(3, 1e200)
+    cfg = config(clients=1, participants=1, local_iters=4, rounds=2)
+    with pytest.raises(NumericalError) as err:
+        if run == "loopback":
+            _run_server_loopback(system, cfg, x0)
+        else:
+            run_rounds(system, cfg, x0, lambda *args: None)
+    assert (err.value.client_id, err.value.round_index) == (None, 1)
+    assert str(err.value) == "round 1: the iterate's squared norm overflows"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_dual_run_names_the_client(monkeypatch):
+    # client 1's rows are nearly parallel, with right-hand sides of +-big:
+    # its dual run overflows (at 1e307 in the final A^T c, at 1e308 inside
+    # chunk solves), and the round's build names the client's delta
+    import fedrk.solver as solver
+
+    solves = []
+    solve1 = solver._solve1
+    monkeypatch.setattr(
+        solver, "_solve1", lambda *args, **kw: solves.append(solve1(*args, **kw)) or solves[-1]
+    )
+    A = np.zeros((4, 40))
+    A[0, 0] = A[1, 1] = A[2, 0] = A[3, 0] = 1.0
+    A[3, 1] = 1e-3
+    cfg = config(local_iters=40, global_iters=2, rounds=3)
+    for big in (1e307, 1e308):
+        system = LinearSystem(A, np.array([1.0, 1.0, big, -big]))
+        with pytest.raises(NumericalError) as err:
+            run_rounds(system, cfg, np.zeros(40), lambda *args: None)
+        assert (err.value.client_id, err.value.round_index) == (1, 1)
+        assert str(err.value) == "round 1: client 1 sent a non-finite delta"
+    assert any(not np.isfinite(s).all() for s in solves)
 
 
 def test_apply_server_round_arrival_order_independent():

@@ -5,7 +5,8 @@ them records new digests and says why. Scope: the digests hold for one
 numpy/BLAS build (recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64);
 another build may round differently and then needs its own digests. The
 bits of runs on rk_iterate's dual kernel (here only the underdetermined
-run) also depend on the LAPACK behind ``np.linalg.solve`` in that build.
+run) also depend on the LAPACK ``gesv`` behind numpy's ``solve1`` gufunc
+(the one ``np.linalg.solve`` calls) in that build.
 """
 
 import hashlib

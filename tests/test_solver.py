@@ -245,6 +245,32 @@ def test_zero_row_has_the_same_message_in_both_kernels():
     assert named == {"sampled row 1 is numerically zero", "sampled row 2 is numerically zero"}
 
 
+def chunk_solves():
+    """``(lower triangle of G[J, J], r[J])`` pairs as the dual kernel builds them."""
+    g = np.random.default_rng(31)
+    A = g.standard_normal((40, 60))
+    A[::2] *= 1e6  # row norms that differ by 1e6
+    r = g.standard_normal(40) * 1e3
+    G = solver.gram_matrix(A, row_norms_sq(A))
+    for J in (
+        g.integers(0, 40, 32),  # a full chunk
+        g.integers(0, 40, 13),  # a partial chunk
+        np.repeat(g.integers(0, 40, 8), 4),  # repeated rows
+        g.integers(0, 2, 32),  # two rows of norms 1e6 apart, repeated
+    ):
+        t = J.size
+        yield G[J][:, J] * solver._LOWER[:t, :t], r[J]
+
+
+def test_unwrapped_solve_is_bit_identical_to_np_linalg_solve():
+    # the dual kernel calls np.linalg.solve's gufunc directly; the digests
+    # of its runs rest on the two giving the same bits
+    for L, rJ in chunk_solves():
+        direct = solver._solve1(L, rJ, signature="dd->d")
+        assert np.all(np.isfinite(direct))
+        assert np.array_equal(direct, np.linalg.solve(L, rJ))
+
+
 # ---------------------------------------------------------------------------
 # contraction_factor
 # ---------------------------------------------------------------------------

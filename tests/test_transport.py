@@ -16,6 +16,7 @@ from fedrk.errors import (
     CodecError,
     ConnectionLost,
     LengthMismatch,
+    NumericalError,
     RoundError,
     Truncated,
 )
@@ -250,6 +251,30 @@ def test_client_session_requires_partition_before_broadcast():
     session = ClientSession(0)
     with pytest.raises(RoundError):
         session.handle(Broadcast(0, np.zeros(2), 1, 0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_client_session_overflowing_iterate_is_a_numerical_error():
+    # ||x||^2 overflows: the error names the round and this client, not a row
+    session = ClientSession(0)
+    session.handle(AssignPartition(0, np.ones((2, 3)), np.ones(2)))
+    with pytest.raises(NumericalError) as err:
+        session.handle(Broadcast(0, 1e200 * np.ones(3), 4, 7))
+    assert (err.value.client_id, err.value.round_index) == (0, 1)
+    assert str(err.value) == "round 1: client 0 failed: the iterate's squared norm overflows"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_client_session_non_finite_dual_run_replies_without_warning():
+    # an overflowing local run on the dual kernel returns its non-finite
+    # delta, which the server's build names as this client's
+    A = np.zeros((2, 40))
+    A[:, 0] = 1.0
+    A[1, 1] = 1e-3
+    session = ClientSession(1)
+    session.handle(AssignPartition(1, A, np.array([3e307, -3e307])))
+    (reply,) = session.handle(Broadcast(0, np.zeros(40), 40, 7))
+    assert not np.isfinite(reply.delta).all()
 
 
 # ---------------------------------------------------------------------------
