@@ -47,11 +47,18 @@ class SchemaError(FedRKError):
 
 
 class RoundError(FedRKError):
-    """A federated round failed; carries the offending client id when known."""
+    """A federated round failed. ``round_index`` is the trace row of the
+    round (set by the round loop), and ``client_id`` names the offending
+    client, when known."""
 
-    def __init__(self, message, client_id=None):
+    def __init__(self, message, client_id=None, round_index=None):
         super().__init__(message)
         self.client_id = client_id
+        self.round_index = round_index
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.round_index is None else f"round {self.round_index}: {text}"
 
 
 class ConnectionLost(RoundError):
@@ -59,17 +66,7 @@ class ConnectionLost(RoundError):
 
 
 class NumericalError(RoundError):
-    """A round produced a non-finite value (overflow); ``round_index`` is the
-    trace row it belongs to, and ``client_id`` names the client whose delta
-    caused it, when one did."""
-
-    def __init__(self, message, client_id=None, round_index=None):
-        super().__init__(message, client_id)
-        self.round_index = round_index
-
-    def __str__(self):
-        text = super().__str__()
-        return text if self.round_index is None else f"round {self.round_index}: {text}"
+    """A round produced a non-finite value (overflow)."""
 
 
 class CodecError(FedRKError):

@@ -39,6 +39,15 @@ __all__ = [
 
 EXPERIMENTS = ("convergence", "sparse", "lsq", "prostate")
 
+# the spec keys each runner reads; a spec file setting any other is refused
+_RUN_KEYS = ("clients", "participants", "global_iters", "rounds", "trials", "seed")
+_SPEC_KEYS = {
+    "convergence": _RUN_KEYS + ("m", "n", "tau_list"),
+    "sparse": _RUN_KEYS + ("m", "n", "local_iters", "sparsity", "noise_scale"),
+    "lsq": _RUN_KEYS + ("m", "n", "local_iters", "augment_cols", "consistent"),
+    "prostate": _RUN_KEYS + ("local_iters", "sparsity", "use_train_split"),
+}
+
 
 def gen_gaussian_system(m, n, rng):
     """Consistent Gaussian system: A, x* i.i.d. standard normal, b = A x*."""
@@ -139,6 +148,9 @@ class ExperimentSpec:
         name = values.pop("name", None)
         if name not in EXPERIMENTS:
             raise ValueError(f"spec name must be one of {', '.join(EXPERIMENTS)}")
+        ignored = sorted(set(values) - set(_SPEC_KEYS[name]))
+        if ignored:
+            raise ValueError(f"the {name} experiment does not read {', '.join(ignored)}")
         overrides = {}
         for key, value in values.items():
             if key == "noise_scale":
@@ -200,23 +212,29 @@ def run_convergence_experiment(spec, out_dir=None):
     each trial's system is built once and run at every tau."""
     errs = {tau: np.empty((spec.trials, spec.rounds + 1)) for tau in spec.tau_list}
     for trial in range(spec.trials):
-        system, x_star = gen_gaussian_system(
-            spec.m, spec.n, RngStream(spec.seed, ("data", trial))
-        )
-        for tau in spec.tau_list:
-            config = _run_config(spec, trial, tau, local_iters=tau)
-            e = errs[tau][trial]
-
-            def on_round(t, x, participants, dropped):
-                e[t] = np.linalg.norm(x - x_star)
-
-            run_rounds(system, config, np.zeros(spec.n), on_round)
-            e /= e[0]
+        _convergence_trial(spec, trial, errs)
     curves = {tau: np.median(errs[tau], axis=0) for tau in spec.tau_list}
     result = ConvergenceResult(spec, curves)
     if out_dir is not None:
         _write(out_dir, "convergence.csv", result.csv_text())
     return result
+
+
+def _convergence_trial(spec, trial, errs):
+    """Fill row ``trial`` of each tau's relative errors; the trial's system
+    is freed on return, before the next one is built."""
+    system, x_star = gen_gaussian_system(
+        spec.m, spec.n, RngStream(spec.seed, ("data", trial))
+    )
+    for tau in spec.tau_list:
+        config = _run_config(spec, trial, tau, local_iters=tau)
+        e = errs[tau][trial]
+
+        def on_round(t, x, participants, dropped):
+            e[t] = np.linalg.norm(x - x_star)
+
+        run_rounds(system, config, np.zeros(spec.n), on_round)
+        e /= e[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,33 +323,37 @@ class LsqResult:
 def run_lsq_experiment(spec, out_dir=None):
     """Steady-state distance of the first n coordinates to the exact
     least-squares solution, for each augmented-column count."""
-    n = spec.n
-    tail = max(1, spec.rounds // 5)
     horizons = {k: np.empty(spec.trials) for k in spec.augment_cols}
     for trial in range(spec.trials):
         g = RngStream(spec.seed, ("data", trial)).generator
-        A = g.standard_normal((spec.m, n))
+        A = g.standard_normal((spec.m, spec.n))
         if spec.consistent:
-            b = A @ g.standard_normal(n)
+            b = A @ g.standard_normal(spec.n)
         else:
             b = g.standard_normal(spec.m)
         x_ls = least_squares_solution(LinearSystem(A, b))
         for k in spec.augment_cols:
-            A_wide = augment_columns(A, k, RngStream(spec.seed, ("augment", trial, k)))
-            system = LinearSystem(A_wide, b)
-            config = _run_config(spec, trial, k)
-            dists = np.empty(spec.rounds)
-
-            def on_round(t, x, participants, dropped):
-                if t:
-                    dists[t - 1] = float(np.linalg.norm(x[:n] - x_ls))
-
-            run_rounds(system, config, np.zeros(n + k), on_round)
-            horizons[k][trial] = float(np.median(dists[-tail:]))
+            horizons[k][trial] = _lsq_horizon(spec, trial, k, A, b, x_ls)
     result = LsqResult(spec, horizons)
     if out_dir is not None:
         _write(out_dir, "lsq_horizons.csv", result.csv_text())
     return result
+
+
+def _lsq_horizon(spec, trial, k, A, b, x_ls):
+    """One run's median distance to ``x_ls`` over its last fifth of rounds;
+    the widened system is freed on return, before the next k's is stacked."""
+    n = spec.n
+    A_wide = augment_columns(A, k, RngStream(spec.seed, ("augment", trial, k)))
+    system = LinearSystem(A_wide, b)
+    dists = np.empty(spec.rounds)
+
+    def on_round(t, x, participants, dropped):
+        if t:
+            dists[t - 1] = float(np.linalg.norm(x[:n] - x_ls))
+
+    run_rounds(system, _run_config(spec, trial, k), np.zeros(n + k), on_round)
+    return float(np.median(dists[-max(1, spec.rounds // 5):]))
 
 
 # ---------------------------------------------------------------------------

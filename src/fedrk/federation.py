@@ -40,7 +40,6 @@ __all__ = [
     "ServerRoundSystem",
     "FedTrace",
     "RoundStreams",
-    "local_stream_seed",
     "client_blocks",
     "sample_clients",
     "round_tol",
@@ -174,11 +173,6 @@ class FedTrace:
             fh.write(self.csv_text())
 
 
-def local_stream_seed(master_seed, round_index, client_id):
-    """The 64-bit stream seed a client receives for one round's local run."""
-    return derive_seed(master_seed, round_index, client_id)
-
-
 @dataclass
 class RoundStreams:
     """The three independent randomness sources one round consumes."""
@@ -193,9 +187,7 @@ class RoundStreams:
         return cls(
             select=RngStream(master_seed, (round_index, TAG_SELECT)),
             server=RngStream(master_seed, (round_index, TAG_SERVER)),
-            local_stream=lambda cid: RngStream(
-                local_stream_seed(master_seed, round_index, cid)
-            ),
+            local_stream=lambda cid: RngStream(derive_seed(master_seed, round_index, cid)),
         )
 
 
@@ -228,6 +220,13 @@ def client_local_update(block, x_global, local_iters, scheme, rng):
     if local_iters < 1:
         raise ValueError("local_iters must be >= 1")
     return _local_delta(block, x_global, local_iters, scheme, rng, round_tol(x_global) ** 2)
+
+
+def _client_failure(cid, exc, round_index=None):
+    """The error naming client ``cid`` for ``exc`` from its local run: a
+    NumericalError stays one, any other error becomes a RoundError."""
+    kind = NumericalError if isinstance(exc, NumericalError) else RoundError
+    return kind(f"client {cid} failed: {exc}", client_id=cid, round_index=round_index)
 
 
 def build_server_system(deltas, x_global, tol):
@@ -298,7 +297,7 @@ def fed_round(blocks, x_global, config, streams):
                 config.local_scheme, streams.local_stream(cid), tol * tol,
             )
         except FedRKError as exc:
-            raise RoundError(f"client {cid} failed: {exc}", client_id=cid) from exc
+            raise _client_failure(cid, exc) from exc
         deltas.append((cid, delta))
     x_next, kept = apply_server_round(deltas, x_global, config, streams.server, tol)
     return x_next, participants, len(deltas) - len(kept)
@@ -315,10 +314,10 @@ def trace_writer(system, config, x_ref=None):
     def on_round(round_index, x, participants, dropped):
         error = None if x_ref is None else float(np.linalg.norm(x - x_ref))
         if error is not None and not math.isfinite(error):
-            raise NumericalError("the distance to x_ref is not finite", round_index=round_index)
+            raise NumericalError("the distance to x_ref is not finite")
         residual = system.residual_norm(x)
         if not math.isfinite(residual):
-            raise NumericalError("the residual is not finite", round_index=round_index)
+            raise NumericalError("the residual is not finite")
         trace.append(round_index, error, residual, participants, dropped)
         trace.stopped_early = (
             round_index > 0 and tol is not None and trace.residuals[-1] <= tol
@@ -334,9 +333,10 @@ def run_rounds(system, config, x0, on_round, step=None):
     ``on_round(t, x, participants, dropped)`` sees the validated ``x0`` as
     round 0, then the result of each ``step(t, x) -> (x_next, participants,
     dropped)``; returning True after a round stops the run. The default
-    step is :func:`fed_round` on the system's blocks. A NumericalError from
-    a step is given the round it happened in. numpy's overflow warnings are
-    off for the whole loop, so an overflow shows only as that typed error.
+    step is :func:`fed_round` on the system's blocks. A RoundError from a
+    step or from ``on_round`` is given the round it happened in (0 for the
+    call on ``x0``). numpy's overflow warnings are off for the whole loop,
+    so an overflow shows only as a typed NumericalError.
     """
     x = _as_point(system, x0, "x0").copy()
     if step is None:
@@ -345,16 +345,17 @@ def run_rounds(system, config, x0, on_round, step=None):
         def step(t, x):
             return fed_round(blocks, x, config, RoundStreams.derive(config.master_seed, t))
 
+    t = 0  # the round being run, numbered as its trace row
     with np.errstate(over="ignore"):
-        on_round(0, x, (), 0)
-        for t in range(config.rounds):
-            try:
-                x, participants, dropped = step(t, x)
-            except NumericalError as exc:
-                exc.round_index = t + 1
-                raise
-            if on_round(t + 1, x, participants, dropped):
-                break
+        try:
+            on_round(0, x, (), 0)
+            for t in range(1, config.rounds + 1):
+                x, participants, dropped = step(t - 1, x)
+                if on_round(t, x, participants, dropped):
+                    break
+        except RoundError as exc:
+            exc.round_index = t
+            raise
     return x
 
 

@@ -21,24 +21,24 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import RngStream, SamplingScheme
+from .core import RngStream, SamplingScheme, derive_seed
 from .errors import (
     BadMagic,
     BadType,
     BadVersion,
     CodecError,
     ConnectionLost,
+    FedRKError,
     LengthMismatch,
-    NumericalError,
     RoundError,
     Truncated,
 )
 from .federation import (
     RoundStreams,
+    _client_failure,
     apply_server_round,
     client_blocks,
     client_local_update,
-    local_stream_seed,
     round_tol,
     run_rounds,
     sample_clients,
@@ -297,7 +297,8 @@ class ClientSession:
 
     def handle(self, msg):
         """Process one server message, returning reply messages. A message
-        that fails validation (NaN or no rows, a NaN iterate) is a RoundError."""
+        that fails validation (NaN or no rows, a NaN iterate) is a RoundError;
+        a failed local run names this client and its round, as in fed_round."""
         try:
             return self._handle(msg)
         except ValueError as exc:
@@ -333,11 +334,10 @@ class ClientSession:
                     delta = client_local_update(
                         self.block, msg.x, msg.local_iters, self.scheme, rng
                     )
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"client {self.client_id} failed: {exc}",
-                    client_id=self.client_id, round_index=msg.round_index + 1,
-                ) from exc
+            except ValueError:
+                raise  # an invalid Broadcast, which handle() names
+            except FedRKError as exc:
+                raise _client_failure(self.client_id, exc, msg.round_index + 1) from exc
             return [Delta(msg.round_index, self.client_id, delta)]
         if isinstance(msg, Shutdown):
             self.done = True
@@ -540,7 +540,7 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
         tol = round_tol(x)  # before the broadcast, as in fed_round
         for cid in participants:
             conns[cid].send(Broadcast(
-                t, x, config.local_iters, local_stream_seed(config.master_seed, t, cid)
+                t, x, config.local_iters, derive_seed(config.master_seed, t, cid)
             ))
         deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
         x_next, kept = apply_server_round(deltas, x, config, streams.server, tol)

@@ -319,6 +319,13 @@ def test_exp_spec_name_mismatch(tmp_path):
     assert main(["exp", "lsq", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
 
 
+def test_exp_spec_key_the_experiment_ignores_is_config_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("name=lsq\ntrials=1\nsparsity=2\n")
+    assert main(["exp", "lsq", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
+    assert "the lsq experiment does not read sparsity" in capsys.readouterr().err
+
+
 def test_exp_convergence_small(tmp_path):
     spec_path = tmp_path / "spec.txt"
     spec_path.write_text(

@@ -138,9 +138,12 @@ def test_spec_text_round_trip():
     spec = ExperimentSpec.convergence(m=64, n=16, trials=3, tau_list=(2, 4))
     text = "name=convergence\nm=64\nn=16\ntrials=3\ntau_list=2,4\n"
     assert ExperimentSpec.from_text(text) == spec
-    sparse = ExperimentSpec.sparse(m=32, n=64, sparsity=3, noise_scale=0.5, consistent=True)
-    text = "# comment\nname=sparse\nm=32\nn=64\nsparsity=3\nnoise_scale=0.5\nconsistent=true\n"
+    sparse = ExperimentSpec.sparse(m=32, n=64, sparsity=3, noise_scale=0.5)
+    text = "# comment\nname=sparse\nm=32\nn=64\nsparsity=3\nnoise_scale=0.5\n"
     assert ExperimentSpec.from_text(text) == sparse
+    lsq = ExperimentSpec.lsq(m=32, n=8, augment_cols=(0, 8), consistent=True)
+    text = "name=lsq\nm=32\nn=8\naugment_cols=0,8\nconsistent=true\n"
+    assert ExperimentSpec.from_text(text) == lsq
 
 
 def test_spec_from_file(tmp_path):
@@ -158,7 +161,18 @@ def test_spec_rejects_bad_input():
     with pytest.raises(ValueError):
         ExperimentSpec.from_text("name=sparse\nwhatisthis=1\n")
     with pytest.raises(ValueError):
-        ExperimentSpec.from_text("name=sparse\nconsistent=maybe\n")
+        ExperimentSpec.from_text("name=lsq\nconsistent=maybe\n")
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("lsq", "sparsity", 2),
+    ("convergence", "local_iters", 999),
+    ("convergence", "local_iters", 1),
+])
+def test_spec_refuses_a_key_its_experiment_ignores(name, key, value):
+    # lsq runs unthresholded whatever its sparsity; convergence takes tau from tau_list
+    with pytest.raises(ValueError, match=f"the {name} experiment does not read {key}"):
+        ExperimentSpec.from_text(f"name={name}\n{key}={value}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,21 @@ def test_fed_round_names_failing_client():
     assert err.value.client_id == 1
 
 
+@pytest.mark.parametrize("run", ["fed_run", "loopback"])
+def test_failed_client_is_named_alike_in_process_and_over_loopback(run):
+    # the system of test_fed_round_names_failing_client: client 1 samples its zero row
+    A = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    system = LinearSystem(A, np.array([1.0, 2.0, 2.0, 0.0]))
+    cfg = config(local_iters=50, local_scheme=UNIFORM, rounds=2, master_seed=3)
+    runner = fed_run if run == "fed_run" else _run_server_loopback
+    with pytest.raises(RoundError) as err:
+        runner(system, cfg, np.ones(2))
+    assert type(err.value) is RoundError
+    assert isinstance(err.value.__cause__, ZeroRow)
+    assert (err.value.client_id, err.value.round_index) == (1, 1)
+    assert str(err.value) == "round 1: client 1 failed: sampled row 1 is numerically zero"
+
+
 def test_fed_run_zero_rounds_returns_x0():
     system, _ = gaussian_consistent(6, 3, 43)
     cfg = config(rounds=0)

@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer patches, and its two set-up markers.
+"""The names the benchmark's tracer patches, its two set-up markers, and the
+command line its TCP workload gives ``fedrk client``.
 
 ``perfbench/tracer.py`` wraps fedrk functions at the module attributes where
 fedrk looks them up. These tests load it by path, so a rename in ``src/``
@@ -7,10 +8,12 @@ that would leave the benchmark patching nothing fails here too.
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fedrk.cli import build_parser
 from fedrk.federation import RunConfig, fed_run
 from fedrk.solver import LinearSystem
 from fedrk.transport import Endpoint, run_server
@@ -59,3 +62,26 @@ def test_set_up_marker_fires_in_the_first_round(module_name, attr, run):
     finally:
         marker.disarm()
     assert marker.time is not None
+
+
+def test_client_fleet_command_line_parses(monkeypatch, tmp_path):
+    # the TCP workload starts its clients through perfbench/client.py, which
+    # hands everything after its own three arguments to ``fedrk`` unchanged
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", TRACER_PATH.parent / "worker.py"
+    )
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    commands = []
+
+    def fake_popen(cmd, **kwargs):
+        commands.append(cmd)
+        return SimpleNamespace()
+
+    monkeypatch.setattr(worker.subprocess, "Popen", fake_popen)
+    args = SimpleNamespace(work=str(tmp_path), pass_index=0, trace=0)
+    worker.ClientFleet(7571, 2, args)._spawn(0)
+    (cmd,) = commands
+    parsed = build_parser().parse_args(cmd[5:])
+    assert (parsed.command, parsed.port, parsed.id) == ("client", 7571, 0)

@@ -264,6 +264,18 @@ def test_client_session_overflowing_iterate_is_a_numerical_error():
     assert str(err.value) == "round 1: client 0 failed: the iterate's squared norm overflows"
 
 
+def test_client_session_failed_local_run_names_client_and_round():
+    # uniform sampling reaches the block's zero row, as fed_round would
+    session = ClientSession(3)
+    A = np.array([[1.0, 1.0], [0.0, 0.0]])
+    session.handle(AssignPartition(3, A, np.array([2.0, 0.0]), SamplingScheme.uniform()))
+    with pytest.raises(RoundError) as err:
+        session.handle(Broadcast(4, np.ones(2), 50, 1))
+    assert type(err.value) is RoundError
+    assert (err.value.client_id, err.value.round_index) == (3, 5)
+    assert str(err.value) == "round 5: client 3 failed: sampled row 1 is numerically zero"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_client_session_non_finite_dual_run_replies_without_warning():
     # an overflowing local run on the dual kernel returns its non-finite
@@ -419,7 +431,7 @@ def test_socket_client_killed_mid_round():
     server.join(timeout=30)
     good.join(timeout=30)
     assert isinstance(result.get("error"), RoundError)
-    assert result["error"].client_id == 1
+    assert (result["error"].client_id, result["error"].round_index) == (1, 1)
 
 
 def _tolerant_client(endpoint, client_id):
@@ -454,7 +466,8 @@ def test_socket_timeout_names_client():
     sock.close()
     err = result.get("error")
     assert isinstance(err, RoundError)
-    assert err.client_id == 0
+    assert (err.client_id, err.round_index) == (0, 1)
+    assert str(err) == "round 1: client 0 timed out"
 
 
 def test_socket_stale_round_delta_rejected():
@@ -489,7 +502,7 @@ def test_socket_stale_round_delta_rejected():
     sock.close()
     err = result.get("error")
     assert isinstance(err, RoundError)
-    assert err.client_id == 0
+    assert (err.client_id, err.round_index) == (0, 1)
     assert "stale" in str(err)
 
 
@@ -552,8 +565,23 @@ def test_socket_short_delta_names_client():
     sock.close()
     err = result.get("error")
     assert isinstance(err, RoundError)
-    assert err.client_id == 0
-    assert str(err) == "client 0 sent 3 delta entries for 4 columns"
+    assert (err.client_id, err.round_index) == (0, 1)
+    assert str(err) == "round 1: client 0 sent 3 delta entries for 4 columns"
+
+
+def test_socket_bad_magic_in_place_of_delta_names_client_and_round():
+    system, _ = gaussian_consistent(6, 2, 14)
+    port = free_port()
+    server, result = serve_in_thread(system, one_client_config(), port, timeout=5.0)
+    sock = join_first_broadcast(port)
+    sock.sendall(b"XX" + encode(Delta(0, 0, np.ones(2)))[2:])
+    server.join(timeout=30)
+    sock.close()
+    err = result.get("error")
+    assert isinstance(err, RoundError)
+    assert isinstance(err.__cause__, BadMagic)
+    assert (err.client_id, err.round_index) == (0, 1)
+    assert str(err).startswith("round 1: client 0 sent a malformed frame: bad magic")
 
 
 def test_socket_oversized_delta_frame_rejected_before_payload():
@@ -570,7 +598,7 @@ def test_socket_oversized_delta_frame_rejected_before_payload():
     sock.close()
     err = result.get("error")
     assert isinstance(err, RoundError)
-    assert err.client_id == 0
+    assert (err.client_id, err.round_index) == (0, 1)
     assert isinstance(err.__cause__, LengthMismatch)
     assert elapsed < timeout / 4
 
