@@ -7,7 +7,6 @@ experiments. Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -83,10 +82,6 @@ def build_parser():
     exp.add_argument("--spec", default=None, help="key=value spec file overriding defaults")
     exp.add_argument("--out", required=True, help="output directory for CSVs")
     exp.add_argument("--data", default=None, help="prostate data file path")
-    exp.add_argument(
-        "--train-split", action="store_true",
-        help="prostate only: use the conventional train rows instead of all rows",
-    )
     return parser
 
 
@@ -141,8 +136,6 @@ def _cmd_exp(args):
         for k in spec.augment_cols:
             print(f"k={k}: median horizon {result.median_horizon(k):.6e}")
     else:
-        if args.train_split:
-            spec = replace(spec, use_train_split=True)
         result = run_prostate_experiment(spec, data_path=args.data, out_dir=args.out)
         for trial in range(spec.trials):
             print(f"seed {trial}: top-5 features {', '.join(result.top_features(trial))}")

@@ -114,7 +114,7 @@ class RunConfig:
             raise ValueError("sparsity must be >= 0 when present")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.residual_tol is not None and self.residual_tol <= 0:
+        if self.residual_tol is not None and not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive when present")
 
 

@@ -1,10 +1,18 @@
 """Message codec and the two interchangeable transports.
 
 Frame layout (little-endian): magic ``FK``, version byte (1), message-type
-byte, u32 payload length, payload. Floats are IEEE-754 binary64. The
-loopback transport pushes every message through the same encode/decode path
-as the TCP transport, so a federated run produces bit-identical traces in
-one process or across processes.
+byte, u32 payload length, payload. Floats are IEEE-754 binary64. A payload
+is its fixed fields, one struct per message that encode, decode and the
+frame bounds share, and then its floats:
+
+- AssignPartition: ``_ASSIGN`` (client id, rows, cols, scheme code), A row by row, b;
+- Broadcast: ``_BROADCAST`` (round, n), x, ``_BROADCAST_TAIL`` (local_iters, seed);
+- Delta: ``_DELTA`` (round, client id, n), the delta;
+- Shutdown: empty.
+
+The loopback transport pushes every message through the same encode/decode
+path as the TCP transport, so a federated run produces bit-identical traces
+in one process or across processes.
 
 Clients introduce themselves after connecting with an empty Delta frame
 (zero-length payload array) carrying their client id; the server answers
@@ -70,10 +78,11 @@ MSG_DELTA = 3
 MSG_SHUTDOWN = 4
 
 _HEADER = struct.Struct("<2sBBI")
-# a Delta payload is round, client id and n (u32 each), then n float64s
-_DELTA_HEAD = 12
-# a Broadcast payload is round and n (u32), n float64s, local_iters (u32), seed (u64)
-_BROADCAST_HEAD = 20
+# each payload's fixed fields, as the module docstring lists them
+_ASSIGN = struct.Struct("<IIII")
+_BROADCAST = struct.Struct("<II")
+_BROADCAST_TAIL = struct.Struct("<IQ")
+_DELTA = struct.Struct("<III")
 # the local schemes an AssignPartition can carry, by their u32 wire code
 _SCHEMES = (SamplingScheme.squared_row_norm(), SamplingScheme.uniform())
 # pause between a client's attempts to reach a server that is not listening yet
@@ -151,54 +160,40 @@ def _payload(msg):
         rows, cols = A.shape
         if b.shape != (rows,):
             raise ValueError("b must have one entry per row of A")
-        head = struct.pack("<IIII", msg.client_id, rows, cols, _SCHEMES.index(msg.scheme))
+        head = _ASSIGN.pack(msg.client_id, rows, cols, _SCHEMES.index(msg.scheme))
         return MSG_ASSIGN, head + _f64_bytes(A) + _f64_bytes(b)
     if isinstance(msg, Broadcast):
         x = np.asarray(msg.x, dtype=np.float64)
         return MSG_BROADCAST, (
-            struct.pack("<II", msg.round_index, x.size)
+            _BROADCAST.pack(msg.round_index, x.size)
             + _f64_bytes(x)
-            + struct.pack("<IQ", msg.local_iters, msg.stream_seed)
+            + _BROADCAST_TAIL.pack(msg.local_iters, msg.stream_seed)
         )
     if isinstance(msg, Delta):
         delta = np.asarray(msg.delta, dtype=np.float64)
-        head = struct.pack("<III", msg.round_index, msg.client_id, delta.size)
+        head = _DELTA.pack(msg.round_index, msg.client_id, delta.size)
         return MSG_DELTA, head + _f64_bytes(delta)
     if isinstance(msg, Shutdown):
         return MSG_SHUTDOWN, b""
     raise TypeError(f"not a transport message: {type(msg).__name__}")
 
 
-class _PayloadReader:
-    """Sequential field reader that never runs past the declared payload."""
+def _check_size(payload_len, size):
+    """A LengthMismatch at the first byte where the payload and its layout differ."""
+    if payload_len != size:
+        raise LengthMismatch(
+            f"payload of {payload_len} bytes where its fields take {size}",
+            _HEADER.size + min(payload_len, size),
+        )
 
-    def __init__(self, payload, base_offset):
-        self._payload = payload
-        self._base = base_offset
-        self._pos = 0
 
-    def _take(self, nbytes):
-        if self._pos + nbytes > len(self._payload):
-            raise LengthMismatch(
-                "payload field overruns declared length", self._base + self._pos
-            )
-        out = self._payload[self._pos:self._pos + nbytes]
-        self._pos += nbytes
-        return out
-
-    def u32(self):
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f64_array(self, count):
-        raw = self._take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def finish(self):
-        if self._pos != len(self._payload):
-            raise LengthMismatch("trailing bytes in payload", self._base + self._pos)
+def _floats(buf, fixed, count, tail=0):
+    """The ``count`` float64s after a frame's ``fixed`` fields. The payload
+    must be exactly the fields, the floats and ``tail`` bytes after them."""
+    _check_size(len(buf) - _HEADER.size, fixed.size + 8 * count + tail)
+    values = np.frombuffer(buf, "<f8", count, _HEADER.size + fixed.size)
+    # a Delta's floats start at byte 20, and numpy is slower on unaligned arrays
+    return values if values.flags.aligned else values.copy()
 
 
 def _check_header(buf):
@@ -229,35 +224,27 @@ def decode(data):
     if len(buf) > _HEADER.size + payload_len:
         raise LengthMismatch("bytes beyond declared frame", _HEADER.size + payload_len)
 
-    reader = _PayloadReader(buf[_HEADER.size:], _HEADER.size)
-    if msg_type == MSG_ASSIGN:
-        client_id = reader.u32()
-        rows = reader.u32()
-        cols = reader.u32()
-        code = reader.u32()
-        if code >= len(_SCHEMES):
-            raise CodecError(f"unknown local scheme code {code}", _HEADER.size + 12)
-        a_flat = reader.f64_array(rows * cols)
-        b = reader.f64_array(rows)
-        reader.finish()
-        return AssignPartition(client_id, a_flat.reshape(rows, cols), b, _SCHEMES[code])
-    if msg_type == MSG_BROADCAST:
-        round_index = reader.u32()
-        n = reader.u32()
-        x = reader.f64_array(n)
-        local_iters = reader.u32()
-        stream_seed = reader.u64()
-        reader.finish()
-        return Broadcast(round_index, x, local_iters, stream_seed)
+    if msg_type == MSG_SHUTDOWN:
+        _check_size(payload_len, 0)
+        return Shutdown()
+    fixed = {MSG_ASSIGN: _ASSIGN, MSG_BROADCAST: _BROADCAST, MSG_DELTA: _DELTA}[msg_type]
+    if payload_len < fixed.size:
+        _check_size(payload_len, fixed.size)
+    head = fixed.unpack_from(buf, _HEADER.size)
     if msg_type == MSG_DELTA:
-        round_index = reader.u32()
-        client_id = reader.u32()
-        n = reader.u32()
-        delta = reader.f64_array(n)
-        reader.finish()
-        return Delta(round_index, client_id, delta)
-    reader.finish()
-    return Shutdown()
+        round_index, client_id, n = head
+        return Delta(round_index, client_id, _floats(buf, _DELTA, n))
+    if msg_type == MSG_BROADCAST:
+        round_index, n = head
+        x = _floats(buf, _BROADCAST, n, _BROADCAST_TAIL.size)
+        tail = _BROADCAST_TAIL.unpack_from(buf, len(buf) - _BROADCAST_TAIL.size)
+        return Broadcast(round_index, x, *tail)
+    client_id, rows, cols, code = head
+    if code >= len(_SCHEMES):  # the code is _ASSIGN's last u32
+        raise CodecError(f"unknown local scheme code {code}", _HEADER.size + _ASSIGN.size - 4)
+    values = _floats(buf, _ASSIGN, rows * (cols + 1))  # Python ints: no u32 product wraps
+    A = values[:rows * cols].reshape(rows, cols)
+    return AssignPartition(client_id, A, values[rows * cols:], _SCHEMES[code])
 
 
 @dataclass(frozen=True)
@@ -268,6 +255,10 @@ class Endpoint:
     transport: str
     host: str = "127.0.0.1"
     port: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0..65535, got {self.port}")
 
     @classmethod
     def loopback(cls):
@@ -297,14 +288,16 @@ class ClientSession:
 
     def handle(self, msg):
         """Process one server message, returning reply messages. A message
-        that fails validation (NaN or no rows, a NaN iterate) is a RoundError;
-        a failed local run names this client and its round, as in fed_round."""
+        that fails validation (NaN or no rows, a NaN iterate) is a RoundError
+        naming this client, and a Broadcast's round; a failed local run names
+        this client and its round, as in fed_round."""
         try:
             return self._handle(msg)
         except ValueError as exc:
             raise RoundError(
                 f"client {self.client_id} got an invalid {type(msg).__name__}: {exc}",
                 client_id=self.client_id,
+                round_index=msg.round_index + 1 if isinstance(msg, Broadcast) else None,
             ) from exc
 
     def _handle(self, msg):
@@ -399,11 +392,9 @@ def read_frame(sock, max_payload=None):
         raise LengthMismatch(
             f"frame declares {payload_len} payload bytes, at most {max_payload} expected", 4
         )
-    payload = b""
-    if payload_len:
-        payload = _recv_exact(sock, payload_len)
-        if payload is None:
-            raise Truncated("connection closed before payload", _HEADER.size)
+    payload = _recv_exact(sock, payload_len)
+    if payload is None:
+        raise Truncated("connection closed before payload", _HEADER.size)
     return decode(header + payload)
 
 
@@ -471,7 +462,7 @@ def _accept_clients(endpoint, clients, cols, timeout):
                 )
             sock.settimeout(timeout)
             try:
-                hello = read_frame(sock, _DELTA_HEAD)  # an empty Delta
+                hello = read_frame(sock, _DELTA.size)  # an empty Delta
             except (OSError, CodecError) as exc:
                 sock.close()
                 raise RoundError(f"bad client hello from {addr[0]}:{addr[1]}: {exc}") from exc
@@ -482,7 +473,7 @@ def _accept_clients(endpoint, clients, cols, timeout):
             if cid >= clients or cid in conns:
                 sock.close()
                 raise RoundError(f"bad or duplicate client id {cid}", client_id=cid)
-            conns[cid] = _SocketConnection(sock, cid, _DELTA_HEAD + 8 * cols)
+            conns[cid] = _SocketConnection(sock, cid, _DELTA.size + 8 * cols)
     except BaseException:
         for conn in conns.values():
             conn.close()
@@ -591,7 +582,10 @@ def run_client(endpoint, client_id, scheme=None, timeout=30.0):
         write_frame(sock, Delta(0, session.client_id, np.zeros(0)))
         while not session.done:
             block = session.block
-            msg = read_frame(sock, None if block is None else _BROADCAST_HEAD + 8 * block.cols)
+            bound = None if block is None else (
+                _BROADCAST.size + 8 * block.cols + _BROADCAST_TAIL.size
+            )
+            msg = read_frame(sock, bound)
             if msg is None:
                 raise ConnectionLost(
                     f"server closed connection to client {session.client_id}",

@@ -100,6 +100,25 @@ def test_solve_config_error_exit_code(small_problem, tmp_path):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("port", ["70000", "-1"])
+@pytest.mark.parametrize("command", ["solve", "client"])
+def test_out_of_range_port_is_config_error(command, port, small_problem, tmp_path, capsys):
+    a_path, b_path = small_problem
+    if command == "solve":
+        args = solve_args(a_path, b_path, tmp_path / "trace.csv", transport="tcp", port=port)
+    else:
+        args = ["client", "--port", port, "--id", "0", "--timeout", "10"]
+    assert main(args) == 2
+    assert "port must be in 0..65535" in capsys.readouterr().err
+
+
+def test_nan_residual_tol_is_config_error(small_problem, tmp_path, capsys):
+    a_path, b_path = small_problem
+    args = solve_args(a_path, b_path, tmp_path / "trace.csv", residual_tol="nan")
+    assert main(args) == 2
+    assert "residual_tol must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, message", [
     ("short_rhs", "A has 6 rows but b has 5 entries"),
     ("too_many_clients", "7 clients for 6 rows"),
@@ -277,9 +296,10 @@ def test_client_exits_at_once_on_a_peer_that_is_not_fedrk(capsys):
 
 
 @pytest.mark.parametrize("kind, message", [
-    ("nan_rows", "invalid AssignPartition: A contains non-finite entries"),
-    ("zero_rows", "invalid AssignPartition: A must have at least one row"),
-    ("nan_broadcast", "invalid Broadcast: x_global contains non-finite entries"),
+    ("nan_rows", "client 0 got an invalid AssignPartition: A contains non-finite entries"),
+    ("zero_rows", "client 0 got an invalid AssignPartition: A must have at least one row"),
+    ("nan_broadcast",
+     "round 1: client 0 got an invalid Broadcast: x_global contains non-finite entries"),
 ], ids=["nan_rows", "zero_rows", "nan_broadcast"])
 def test_client_invalid_peer_message_is_runtime_error(kind, message, capsys):
     from fedrk.transport import AssignPartition, Broadcast, encode
@@ -297,7 +317,7 @@ def test_client_invalid_peer_message_is_runtime_error(kind, message, capsys):
     code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
     server.join(timeout=30)
     assert code == 3
-    assert f"error: client 0 got an {message}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_exp_lsq_with_spec_file(tmp_path, capsys):
@@ -351,11 +371,13 @@ def test_exp_prostate_synthetic_with_train_split(tmp_path, capsys):
     data = tmp_path / "prostate.data"
     synthetic_prostate_file(data, rows=35, seed=8)
     spec_path = tmp_path / "spec.txt"
-    spec_path.write_text("name=prostate\nrounds=40\ntrials=1\nseed=9\n")
+    spec_path.write_text(
+        "name=prostate\nrounds=40\ntrials=1\nseed=9\nuse_train_split=true\n"
+    )
     code = main(
         [
             "exp", "prostate", "--spec", str(spec_path), "--out", str(tmp_path / "res"),
-            "--data", str(data), "--train-split",
+            "--data", str(data),
         ]
     )
     assert code == 0

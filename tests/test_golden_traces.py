@@ -20,6 +20,7 @@ from fedrk.experiments import (
     run_convergence_experiment,
     run_lsq_experiment,
     run_prostate_experiment,
+    run_sparse_experiment,
 )
 from fedrk.federation import RoundStreams, RunConfig, fed_round, fed_run
 from fedrk.solver import LinearSystem
@@ -157,6 +158,17 @@ def run_convergence(tmp_path):
     return (tmp_path / "convergence.csv").read_text()
 
 
+def run_sparse(tmp_path):
+    spec = ExperimentSpec.sparse(
+        m=48, n=64, clients=4, participants=2, rounds=60, trials=2, sparsity=4,
+        seed=909,
+    )
+    run_sparse_experiment(spec, out_dir=tmp_path)
+    return (tmp_path / "sparse_counts.csv").read_text() + (
+        tmp_path / "sparse_trials.csv"
+    ).read_text()
+
+
 def run_prostate(tmp_path):
     path = tmp_path / "prostate.data"
     synthetic_prostate_file(path, rows=35, seed=3)
@@ -201,6 +213,9 @@ GOLDEN_FILES = {
     ),
     "prostate_counts": (run_prostate,
         "2cd65041bdf9f9d9f3e11ad094908df4f4ebbb1347cdf775f41d5a733fadb8dc",
+    ),
+    "sparse_runner": (run_sparse,
+        "370ff652c40a8a616ffba221216224446ce653116577f59d1d053aa0d6cef843",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Tests for the wire codec and both transports."""
 
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -148,13 +149,42 @@ def test_decode_trailing_bytes():
     assert err.value.offset == 8
 
 
-def test_decode_internal_count_mismatch():
-    # declare n=3 inside a payload sized for n=2
-    good = encode(Delta(1, 2, np.array([1.0, 2.0])))
-    bad = bytearray(good)
-    bad[16] = 3  # the n field inside the payload
-    with pytest.raises(LengthMismatch):
-        decode(bytes(bad))
+def with_u32(frame, offset, value):
+    """``frame`` with the u32 field at byte ``offset`` set to ``value``."""
+    out = bytearray(frame)
+    struct.pack_into("<I", out, offset, value)
+    return bytes(out)
+
+
+def zero_payload_frame(msg_type, payload_len):
+    return b"FK\x01" + bytes([msg_type]) + struct.pack("<I", payload_len) + bytes(payload_len)
+
+
+DELTA_FRAME = encode(Delta(1, 2, np.array([1.0, 2.0])))  # 36 bytes; n at 16
+BROADCAST_FRAME = encode(Broadcast(0, np.array([1.0, 2.0]), 1, 0))  # 44 bytes; n at 12
+ASSIGN_FRAME = encode(AssignPartition(1, np.ones((2, 3)), np.ones(2)))  # 88 bytes; rows at 12
+
+
+@pytest.mark.parametrize("frame, offset", [
+    (with_u32(DELTA_FRAME, 16, 3), 36),  # the payload ends where a third float would start
+    (with_u32(BROADCAST_FRAME, 12, 1), 36),  # the payload runs 8 bytes past its layout
+    (with_u32(ASSIGN_FRAME, 12, 3), 88),
+    (with_u32(ASSIGN_FRAME, 16, 2), 72),
+    # rows * (cols + 1) is about 2**64: no u32 product wraps to a size that fits
+    (with_u32(with_u32(ASSIGN_FRAME, 12, 2**32 - 1), 16, 2**32 - 1), 88),
+    (zero_payload_frame(4, 2), 8),  # a Shutdown carries no payload
+    # payloads shorter than their fixed fields
+    (zero_payload_frame(3, 11), 19),
+    (zero_payload_frame(2, 7), 15),
+    (zero_payload_frame(1, 15), 23),
+], ids=[
+    "delta_n", "broadcast_n", "assign_rows", "assign_cols", "assign_huge_counts",
+    "shutdown_payload", "short_delta", "short_broadcast", "short_assign",
+])
+def test_decode_internal_count_mismatch(frame, offset):
+    with pytest.raises(LengthMismatch) as err:
+        decode(frame)
+    assert err.value.offset == offset
 
 
 def test_decode_fuzz_total():
@@ -262,6 +292,17 @@ def test_client_session_overflowing_iterate_is_a_numerical_error():
         session.handle(Broadcast(0, 1e200 * np.ones(3), 4, 7))
     assert (err.value.client_id, err.value.round_index) == (0, 1)
     assert str(err.value) == "round 1: client 0 failed: the iterate's squared norm overflows"
+
+
+def test_client_session_invalid_broadcast_names_client_and_round():
+    session = ClientSession(2)
+    session.handle(AssignPartition(2, np.ones((2, 3)), np.ones(2)))
+    with pytest.raises(RoundError) as err:
+        session.handle(Broadcast(4, np.array([np.nan, 1.0, 1.0]), 3, 1))
+    assert (err.value.client_id, err.value.round_index) == (2, 5)
+    assert str(err.value) == (
+        "round 5: client 2 got an invalid Broadcast: x_global contains non-finite entries"
+    )
 
 
 def test_client_session_failed_local_run_names_client_and_round():
