@@ -118,6 +118,8 @@ def _cmd_client(args):
 
 
 def _cmd_exp(args):
+    if args.data is not None and args.name != "prostate":
+        raise ValueError(f"the {args.name} experiment reads no --data")
     if args.spec is not None:
         spec = ExperimentSpec.from_file(args.spec)
         if spec.name != args.name:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 An error that is also a ``ValueError`` is a mistake in the caller's input
-(a shape, a client count, a block with no nonzero row): the CLI exits 2 for
-it, as for any ``ValueError``, and 3 for every other error.
+(a shape, a client count, a block with no nonzero row, a malformed data
+file): the CLI exits 2 for it, as for any ``ValueError``, and 3 for every
+other error.
 """
 
 
@@ -30,19 +31,11 @@ class TooManyClients(FedRKError, ValueError):
     pass
 
 
-class InconsistentBlock(FedRKError):
-    pass
-
-
 class RankDeficient(FedRKError):
     pass
 
 
-class TooManySubsets(FedRKError):
-    pass
-
-
-class SchemaError(FedRKError):
+class SchemaError(FedRKError, ValueError):
     pass
 
 

@@ -9,16 +9,16 @@ desk-scale runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .core import RngStream, as_matrix, derive_seed, parse_key_values
 from .datasets import FEATURE_NAMES, load_prostate
+from .errors import RankDeficient
 # fed_run is not called here, but perfbench's tracer patches fedrk.experiments.fed_run
 from .federation import RunConfig, fed_run, run_rounds
-from .oracles import least_squares_solution
 from .solver import LinearSystem
 
 __all__ = [
@@ -35,12 +35,12 @@ __all__ = [
     "run_sparse_experiment",
     "run_lsq_experiment",
     "run_prostate_experiment",
-    "rounds_to_threshold",
+    "least_squares_solution",
 ]
 
 EXPERIMENTS = ("convergence", "sparse", "lsq", "prostate")
 
-# the spec keys each runner reads; a spec file setting any other is refused
+# the spec keys each runner reads; a spec setting any other is refused
 _RUN_KEYS = ("clients", "participants", "global_iters", "rounds", "trials", "seed")
 _SPEC_KEYS = {
     "convergence": _RUN_KEYS + ("m", "n", "tau_list"),
@@ -109,39 +109,44 @@ class ExperimentSpec:
 
     @classmethod
     def convergence(cls, **overrides):
-        spec = cls(
-            name="convergence", m=2048, n=1024, clients=16, participants=5,
+        return cls._build(
+            "convergence", overrides, m=2048, n=1024, clients=16, participants=5,
             local_iters=20, global_iters=20, rounds=200, trials=50, seed=20240,
             tau_list=(10, 20, 40),
         )
-        return replace(spec, **overrides)
 
     @classmethod
     def sparse(cls, **overrides):
-        spec = cls(
-            name="sparse", m=256, n=1024, clients=16, participants=5,
+        return cls._build(
+            "sparse", overrides, m=256, n=1024, clients=16, participants=5,
             local_iters=20, global_iters=20, rounds=1000, trials=50, seed=20241,
             sparsity=9, noise_scale=0.01,
         )
-        return replace(spec, **overrides)
 
     @classmethod
     def lsq(cls, **overrides):
-        spec = cls(
-            name="lsq", m=2048, n=256, clients=16, participants=16,
+        return cls._build(
+            "lsq", overrides, m=2048, n=256, clients=16, participants=16,
             local_iters=20, global_iters=20, rounds=400, trials=20, seed=20242,
             augment_cols=(0, 256, 768),
         )
-        return replace(spec, **overrides)
 
     @classmethod
     def prostate(cls, **overrides):
-        spec = cls(
-            name="prostate", m=97, n=9, clients=7, participants=3,
+        return cls._build(
+            "prostate", overrides, m=97, n=9, clients=7, participants=3,
             local_iters=20, global_iters=20, rounds=2000, trials=5, seed=20243,
             sparsity=5,
         )
-        return replace(spec, **overrides)
+
+    @classmethod
+    def _build(cls, name, overrides, **defaults):
+        """The ``name`` spec: its defaults, then ``overrides``, each of which
+        must be a key that experiment reads."""
+        ignored = sorted(set(overrides) - set(_SPEC_KEYS[name]))
+        if ignored:
+            raise ValueError(f"the {name} experiment does not read {', '.join(ignored)}")
+        return cls(name=name, **{**defaults, **overrides})
 
     @classmethod
     def from_text(cls, text):
@@ -149,9 +154,6 @@ class ExperimentSpec:
         name = values.pop("name", None)
         if name not in EXPERIMENTS:
             raise ValueError(f"spec name must be one of {', '.join(EXPERIMENTS)}")
-        ignored = sorted(set(values) - set(_SPEC_KEYS[name]))
-        if ignored:
-            raise ValueError(f"the {name} experiment does not read {', '.join(ignored)}")
         overrides = {}
         for key, value in values.items():
             if key == "noise_scale":
@@ -183,12 +185,6 @@ def _run_config(spec, *run_ids, local_iters=None, sparsity=None):
         sparsity=sparsity,
         master_seed=derive_seed(spec.seed, "run", *run_ids),
     )
-
-
-def rounds_to_threshold(curve, tol):
-    """First round index at which the curve drops below tol; inf if never."""
-    below = np.flatnonzero(np.asarray(curve) < tol)
-    return int(below[0]) if below.size else float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +315,16 @@ class LsqResult:
             for trial, value in enumerate(self.horizons[k]):
                 lines.append(f"{k},{trial},{repr(float(value))}")
         return "\n".join(lines) + "\n"
+
+
+def least_squares_solution(system):
+    """argmin ||A x - b|| for a full-column-rank system; singular values
+    below 1e-10 times the largest count as zero."""
+    A, b = system.A, system.b
+    solution, _, rank, _ = np.linalg.lstsq(A, b, rcond=1e-10)
+    if rank < A.shape[1]:
+        raise RankDeficient(f"rank {rank} < {A.shape[1]} columns")
+    return solution
 
 
 def run_lsq_experiment(spec, out_dir=None):

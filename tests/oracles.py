@@ -1,8 +1,7 @@
-"""Direct-method references the iterative code is validated against.
+"""Direct-method references the tests check the iterative code against.
 
-Everything here may be O(n^3): exact subspace projections, least-squares
-solves, and the exact one-round expected update obtained by enumerating
-every client subset. Used by tests and small diagnostics only.
+Everything here may be O(n^3): exact subspace projections and the exact
+one-round expected update obtained by enumerating every client subset.
 """
 
 from itertools import combinations
@@ -10,21 +9,20 @@ from math import comb
 
 import numpy as np
 
-from .core import as_vector, zero_row_tol
-from .errors import InconsistentBlock, RankDeficient, TooManySubsets
-from .solver import LinearSystem
-
-__all__ = [
-    "project_onto_solution_set",
-    "intersection_projection",
-    "least_squares_solution",
-    "expected_update",
-]
+from fedrk.core import as_vector, zero_row_tol
 
 # singular values below RCOND * largest are treated as zero in direct solves
 RCOND = 1e-10
 
 _MAX_SUBSETS = 10**6
+
+
+class InconsistentBlock(Exception):
+    pass
+
+
+class TooManySubsets(Exception):
+    pass
 
 
 def project_onto_solution_set(block, x):
@@ -46,27 +44,6 @@ def project_onto_solution_set(block, x):
             f"block is inconsistent: projection residual {residual:.3e}"
         )
     return proj
-
-
-def intersection_projection(blocks, x):
-    """Projection of ``x`` onto the intersection of all blocks' solution sets."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("need at least one block")
-    stacked = LinearSystem(
-        np.vstack([blk.A for blk in blocks]),
-        np.concatenate([blk.b for blk in blocks]),
-    )
-    return project_onto_solution_set(stacked, x)
-
-
-def least_squares_solution(system):
-    """argmin ||A x - b|| for a full-column-rank system."""
-    A, b = system.A, system.b
-    solution, _, rank, _ = np.linalg.lstsq(A, b, rcond=RCOND)
-    if rank < A.shape[1]:
-        raise RankDeficient(f"rank {rank} < {A.shape[1]} columns")
-    return solution
 
 
 def expected_update(blocks, x, participants):
@@ -108,3 +85,9 @@ def expected_update(blocks, x, participants):
                 term += projected[s]
             acc += term / len(live)
     return acc / n_subsets
+
+
+def rounds_to_threshold(curve, tol):
+    """First round index at which the curve drops below tol; inf if never."""
+    below = np.flatnonzero(np.asarray(curve) < tol)
+    return int(below[0]) if below.size else float("inf")

@@ -365,6 +365,23 @@ def test_exp_prostate_missing_data(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_exp_prostate_malformed_data_is_config_error(tmp_path, capsys):
+    data = tmp_path / "bad.data"
+    data.write_text("lcavol lweight age lbph svi lcp gleason lpsa\n" + "1 " * 8 + "\n")
+    code = main(["exp", "prostate", "--out", str(tmp_path / "res"), "--data", str(data)])
+    assert code == 2
+    assert f"config error: {data}: missing column 'pgg45'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["convergence", "sparse", "lsq"])
+def test_exp_data_outside_prostate_is_config_error(name, tmp_path, capsys):
+    out = tmp_path / "res"
+    code = main(["exp", name, "--out", str(out), "--data", str(tmp_path / "none.data")])
+    assert code == 2
+    assert f"config error: the {name} experiment reads no --data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exp_prostate_synthetic_with_train_split(tmp_path, capsys):
     from test_experiments import synthetic_prostate_file
 

@@ -11,12 +11,12 @@ from fedrk.experiments import (
     augment_columns,
     gen_gaussian_system,
     gen_sparse_instance,
-    rounds_to_threshold,
     run_convergence_experiment,
     run_lsq_experiment,
     run_prostate_experiment,
     run_sparse_experiment,
 )
+from oracles import rounds_to_threshold
 
 # ---------------------------------------------------------------------------
 # readers for the runners' CSV outputs
@@ -171,8 +171,11 @@ def test_spec_rejects_bad_input():
 ])
 def test_spec_refuses_a_key_its_experiment_ignores(name, key, value):
     # lsq runs unthresholded whatever its sparsity; convergence takes tau from tau_list
-    with pytest.raises(ValueError, match=f"the {name} experiment does not read {key}"):
+    message = f"the {name} experiment does not read {key}"
+    with pytest.raises(ValueError, match=message):
         ExperimentSpec.from_text(f"name={name}\n{key}={value}\n")
+    with pytest.raises(ValueError, match=message):
+        getattr(ExperimentSpec, name)(**{key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from fedrk.federation import (
     run_rounds,
     sample_clients,
 )
-from fedrk.oracles import project_onto_solution_set
 from fedrk.solver import LinearSystem
+from oracles import project_onto_solution_set
 
 SQNORM = SamplingScheme.squared_row_norm()
 UNIFORM = SamplingScheme.uniform()

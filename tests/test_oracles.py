@@ -1,18 +1,20 @@
-"""Tests for the direct-method reference implementations."""
+"""Tests for the direct-method references in ``tests/oracles.py`` and the
+lsq runner's least-squares solve."""
 
 import numpy as np
 import pytest
 
 from fedrk.core import RngStream
-from fedrk.errors import InconsistentBlock, RankDeficient, TooManySubsets
+from fedrk.errors import RankDeficient
+from fedrk.experiments import least_squares_solution
 from fedrk.federation import RoundStreams, RunConfig, fed_round
-from fedrk.oracles import (
+from fedrk.solver import LinearSystem
+from oracles import (
+    InconsistentBlock,
+    TooManySubsets,
     expected_update,
-    intersection_projection,
-    least_squares_solution,
     project_onto_solution_set,
 )
-from fedrk.solver import LinearSystem
 
 
 def consistent_block(m, n, seed):
@@ -81,36 +83,23 @@ def test_projection_inconsistent_block_raises():
 
 
 # ---------------------------------------------------------------------------
-# intersection_projection
+# the intersection of blocks' solution sets: the stacked system's solution set
 # ---------------------------------------------------------------------------
 
 def test_intersection_examples():
-    b1 = LinearSystem(np.array([[1.0, 0.0]]), np.array([0.0]))
-    b2 = LinearSystem(np.array([[0.0, 1.0]]), np.array([0.0]))
-    assert np.allclose(intersection_projection([b1, b2], np.array([3.0, 4.0])), [0.0, 0.0])
-
-
-def test_intersection_single_block_degenerates():
-    blk = consistent_block(3, 6, 6)
-    g = np.random.default_rng(7)
-    x = g.standard_normal(6)
-    assert np.allclose(
-        intersection_projection([blk], x), project_onto_solution_set(blk, x), atol=1e-12
-    )
+    # the two axes' lines {x1 = 0} and {x2 = 0} meet at the origin
+    stacked = LinearSystem(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+    assert np.allclose(project_onto_solution_set(stacked, np.array([3.0, 4.0])), [0.0, 0.0])
 
 
 def test_intersection_orthogonal_to_null_space():
     g = np.random.default_rng(8)
     # consistent underdetermined stack: 3 blocks of 4 rows in R^20
     z = g.standard_normal(20)
-    blocks = []
-    for _ in range(3):
-        A = g.standard_normal((4, 20))
-        blocks.append(LinearSystem(A, A @ z))
+    stacked = np.vstack([g.standard_normal((4, 20)) for _ in range(3)])
+    rhs = stacked @ z
     x = g.standard_normal(20)
-    out = intersection_projection(blocks, x)
-    stacked = np.vstack([blk.A for blk in blocks])
-    rhs = np.concatenate([blk.b for blk in blocks])
+    out = project_onto_solution_set(LinearSystem(stacked, rhs), x)
     assert np.linalg.norm(stacked @ out - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
     # x - out lies in the row space: orthogonal to null-space samples
     _, _, vt = np.linalg.svd(stacked)
