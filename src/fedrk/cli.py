@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .core import SamplingScheme, load_dmat, load_matrix_csv, load_vector_csv, save_vector_csv
+from .core import SamplingScheme, load_matrix, load_vector, save_vector_csv
 from .errors import FedRKError
 from .experiments import (
     EXPERIMENTS,
@@ -27,21 +27,6 @@ from .transport import Endpoint, run_client, run_server
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _load_matrix(path):
-    if path.endswith(".dmat"):
-        return load_dmat(path)
-    return load_matrix_csv(path)
-
-
-def _load_vector(path):
-    if path.endswith(".dmat"):
-        m = load_dmat(path)
-        if m.shape[1] != 1:
-            raise ValueError(f"{path}: expected a single column")
-        return m[:, 0].copy()
-    return load_vector_csv(path)
 
 
 def build_parser():
@@ -97,7 +82,7 @@ def _cmd_solve(args):
         master_seed=args.seed,
         residual_tol=args.residual_tol,
     )
-    system = LinearSystem(_load_matrix(args.matrix), _load_vector(args.rhs))
+    system = LinearSystem(load_matrix(args.matrix), load_vector(args.rhs))
     if args.transport == "loopback":
         x, trace = fed_run(system, config, np.zeros(system.cols))
     else:

@@ -28,9 +28,10 @@ __all__ = [
     "save_matrix_csv",
     "load_matrix_csv",
     "save_vector_csv",
-    "load_vector_csv",
     "save_dmat",
     "load_dmat",
+    "load_matrix",
+    "load_vector",
     "parse_key_values",
 ]
 
@@ -240,13 +241,6 @@ def save_vector_csv(path, vector):
             fh.write(repr(float(value)) + "\n")
 
 
-def load_vector_csv(path):
-    m = load_matrix_csv(path)
-    if m.shape[1] != 1:
-        raise ValueError(f"{path}: expected one value per line, got {m.shape[1]}")
-    return m[:, 0].copy()
-
-
 def save_dmat(path, matrix):
     m = as_matrix(matrix)
     rows, cols = m.shape
@@ -271,6 +265,20 @@ def load_dmat(path):
     return as_matrix(data, name=str(path))
 
 
+def load_matrix(path):
+    """A matrix from a ``.dmat`` file, or else from CSV."""
+    return load_dmat(path) if str(path).endswith(".dmat") else load_matrix_csv(path)
+
+
+def load_vector(path):
+    """A vector from a one-column ``.dmat`` file, or else from CSV with one
+    value per line."""
+    m = load_matrix(path)
+    if m.shape[1] != 1:
+        raise ValueError(f"{path}: expected a single column, got {m.shape[1]}")
+    return m[:, 0].copy()
+
+
 def parse_key_values(text, known, kind="config"):
     """Parse ``key=value`` lines into a dict, rejecting keys not in ``known``.
 
@@ -283,8 +291,10 @@ def parse_key_values(text, known, kind="config"):
             continue
         if "=" not in line:
             raise ValueError(f"bad {kind} line {raw!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise ValueError(f"{kind} key {key!r} is given twice")
+        fields[key] = value
     unknown = set(fields) - set(known)
     if unknown:
         raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")

@@ -146,7 +146,16 @@ class ExperimentSpec:
         ignored = sorted(set(overrides) - set(_SPEC_KEYS[name]))
         if ignored:
             raise ValueError(f"the {name} experiment does not read {', '.join(ignored)}")
-        return cls(name=name, **{**defaults, **overrides})
+        spec = cls(name=name, **{**defaults, **overrides})
+        if spec.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if name == "convergence":
+            _check_distinct("tau_list", spec.tau_list, 1)
+        elif name == "lsq":
+            _check_distinct("augment_cols", spec.augment_cols, 0)
+            if spec.rounds < 1:
+                raise ValueError("the lsq experiment needs rounds >= 1")
+        return spec
 
     @classmethod
     def from_text(cls, text):
@@ -172,6 +181,12 @@ class ExperimentSpec:
     def from_file(cls, path):
         with open(path) as fh:
             return cls.from_text(fh.read())
+
+
+def _check_distinct(key, values, least):
+    """A spec list the runner reports on: non-empty, distinct, each >= ``least``."""
+    if not values or len(set(values)) != len(values) or min(values) < least:
+        raise ValueError(f"{key} must list distinct values >= {least}, at least one")
 
 
 def _run_config(spec, *run_ids, local_iters=None, sparsity=None):

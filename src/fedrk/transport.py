@@ -514,6 +514,7 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     """
     if endpoint.role != "server":
         raise ValueError("run_server needs a server endpoint")
+    _check_timeout(timeout)
     blocks = client_blocks(system, config.clients)
     x0 = np.zeros(system.cols) if x0 is None else x0
     trace, on_round = trace_writer(system, config, x_ref)
@@ -551,6 +552,12 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     return x, trace
 
 
+def _check_timeout(timeout):
+    # a zero timeout would make the socket non-blocking
+    if not timeout > 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+
+
 def _connect(endpoint, timeout):
     """A connection to the server, retrying a refused one until ``timeout``."""
     deadline = time.monotonic() + timeout
@@ -570,10 +577,15 @@ def run_client(endpoint, client_id, scheme=None, timeout=30.0):
     A client may start before the server listens: it retries a refused
     connection until ``timeout``. The local scheme is the server's; a
     ``scheme`` given here must match it. Once its rows have arrived, a frame
-    longer than a Broadcast of their width raises LengthMismatch unread.
+    longer than a Broadcast of their width raises LengthMismatch unread. A
+    ``timeout`` that is not positive, or a ``client_id`` that is not a u32,
+    is a ValueError before any socket opens.
     """
     if endpoint.transport != "socket":
         raise ValueError("run_client only applies to the socket transport")
+    _check_timeout(timeout)
+    if not 0 <= client_id < 2**32:
+        raise ValueError(f"client id must be in 0..{2**32 - 1}, got {client_id}")
     session = ClientSession(client_id, scheme)
     sock = _connect(endpoint, timeout)
     sock.settimeout(timeout)

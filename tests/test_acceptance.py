@@ -5,8 +5,6 @@ complete. Every tolerance and runtime budget is pinned here.
 """
 
 import os
-import socket
-import threading
 import time
 from itertools import combinations
 
@@ -39,7 +37,8 @@ from fedrk.federation import (
     fed_run,
 )
 from fedrk.solver import LinearSystem, contraction_factor, fit_decay_rate
-from fedrk.transport import Endpoint, decode, encode, run_client, run_server
+from fedrk.transport import Endpoint, decode, encode, run_server
+from harness import run_socket
 from oracles import expected_update, project_onto_solution_set, rounds_to_threshold
 
 UNIFORM = SamplingScheme.uniform()
@@ -246,14 +245,6 @@ def test_criterion_08_prostate_selection():
     )
 
 
-def _free_port():
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
-
-
 def test_criterion_09_transport_transparency():
     start = time.time()
     g = np.random.default_rng(909)
@@ -276,29 +267,7 @@ def test_criterion_09_transport_transparency():
         system = LinearSystem(A, b)
 
         _, loop_trace = run_server(Endpoint.loopback(), system, cfg)
-        port = _free_port()
-        box = {}
-
-        def serve():
-            box["out"] = run_server(
-                Endpoint.server("127.0.0.1", port), system, cfg, timeout=15.0
-            )
-
-        server = threading.Thread(target=serve)
-        server.start()
-        time.sleep(0.02)
-        client_threads = [
-            threading.Thread(
-                target=run_client, args=(Endpoint.client("127.0.0.1", port), cid)
-            )
-            for cid in range(cfg.clients)
-        ]
-        for t in client_threads:
-            t.start()
-        server.join(timeout=60)
-        for t in client_threads:
-            t.join(timeout=60)
-        _, sock_trace = box["out"]
+        _, sock_trace = run_socket(system, cfg, timeout=15.0)
         identical += loop_trace.csv_text() == sock_trace.csv_text()
     elapsed = time.time() - start
     report(

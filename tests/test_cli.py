@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import socket
 import threading
 import time
 
@@ -9,14 +8,13 @@ import pytest
 
 from fedrk.cli import main
 from fedrk.core import save_dmat, save_matrix_csv, save_vector_csv
-
-
-def free_port():
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+from harness import (
+    free_port,
+    join_first_broadcast,
+    oversized_broadcast_frames,
+    serve_in_thread,
+    serve_raw_frames,
+)
 
 
 @pytest.fixture
@@ -76,14 +74,14 @@ def test_solve_writes_solution(small_problem, tmp_path):
 
 
 def test_solve_matches_library_run(small_problem, tmp_path):
-    from fedrk.core import load_matrix_csv, load_vector_csv
+    from fedrk.core import load_matrix_csv, load_vector
     from fedrk.federation import RunConfig, fed_run
     from fedrk.solver import LinearSystem
 
     a_path, b_path = small_problem
     out = tmp_path / "trace.csv"
     main(solve_args(a_path, b_path, out))
-    system = LinearSystem(load_matrix_csv(a_path), load_vector_csv(b_path))
+    system = LinearSystem(load_matrix_csv(a_path), load_vector(b_path))
     cfg = RunConfig(
         clients=3, participants=2, local_iters=8, global_iters=8,
         rounds=40, master_seed=7,
@@ -110,6 +108,32 @@ def test_out_of_range_port_is_config_error(command, port, small_problem, tmp_pat
         args = ["client", "--port", port, "--id", "0", "--timeout", "10"]
     assert main(args) == 2
     assert "port must be in 0..65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("solve", "timeout", "0", "timeout must be positive, got 0.0"),
+    ("client", "timeout", "0", "timeout must be positive, got 0.0"),
+    ("client", "id", "-1", "client id must be in 0..4294967295, got -1"),
+    ("client", "id", "4294967296", "client id must be in 0..4294967295, got 4294967296"),
+])
+def test_tcp_input_is_config_error_before_any_socket(
+    command, option, value, message, small_problem, tmp_path, capsys
+):
+    # no server listens on the port: a client that got as far as connecting
+    # would retry for its whole timeout and exit 3
+    port = free_port()
+    if command == "solve":
+        a_path, b_path = small_problem
+        args = solve_args(
+            a_path, b_path, tmp_path / "trace.csv", transport="tcp", port=port, timeout=10
+        )
+    else:
+        args = ["client", "--port", str(port), "--id", "0", "--timeout", "10"]
+    args[args.index(f"--{option}") + 1] = value
+    start = time.monotonic()
+    assert main(args) == 2
+    assert time.monotonic() - start < 1.0
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_nan_residual_tol_is_config_error(small_problem, tmp_path, capsys):
@@ -157,27 +181,22 @@ def test_bad_usage_exit_code():
 def run_tcp_solve(solve_argv, client_extra):
     """Run ``solve_argv`` as a TCP server with one ``fedrk client`` thread per
     entry of ``client_extra`` (extra client arguments); returns the exit
-    codes, the server's under "server" and each client's under its id."""
+    codes, the server's under "server" and each client's under its id. The
+    clients start first and get the run's ``--timeout``."""
     port = free_port()
+    timeout = solve_argv[solve_argv.index("--timeout") + 1]
     codes = {}
-    server = threading.Thread(
-        target=lambda: codes.setdefault(
-            "server", main(solve_argv + ["--transport", "tcp", "--port", str(port)])
-        )
-    )
-    server.start()
-    time.sleep(0.1)
     clients = [
         threading.Thread(
-            target=lambda cid=cid, extra=extra: codes.setdefault(
-                cid, main(["client", "--port", str(port), "--id", str(cid), *extra])
-            )
+            target=lambda cid=cid, extra=extra: codes.setdefault(cid, main([
+                "client", "--port", str(port), "--id", str(cid), "--timeout", timeout, *extra
+            ]))
         )
         for cid, extra in enumerate(client_extra)
     ]
     for t in clients:
         t.start()
-    server.join(timeout=60)
+    codes["server"] = main(solve_argv + ["--transport", "tcp", "--port", str(port)])
     for t in clients:
         t.join(timeout=60)
     return codes
@@ -246,34 +265,25 @@ def test_solve_overflowing_row_norm_is_config_error(tmp_path, capsys):
 
 
 def test_solve_tcp_non_finite_delta_is_runtime_error(small_problem, tmp_path, capsys):
-    from fedrk.transport import Delta, read_frame, write_frame
+    from fedrk.transport import Delta, write_frame
 
     a_path, b_path = small_problem
     port = free_port()
-    codes = {}
     args = solve_args(
         a_path, b_path, tmp_path / "tcp.csv", transport="tcp", port=port, timeout=10
     )
     args[args.index("--clients") + 1] = "1"
     args[args.index("--participants") + 1] = "1"
-    server = threading.Thread(target=lambda: codes.setdefault("server", main(args)))
-    server.start()
-    time.sleep(0.1)
-    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-    sock.settimeout(10)
-    write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
-    read_frame(sock)  # AssignPartition
-    read_frame(sock)  # round-0 Broadcast
+    finish = serve_in_thread(lambda: main(args))
+    sock = join_first_broadcast(port)
     write_frame(sock, Delta(0, 0, np.full(4, np.nan)))
-    server.join(timeout=60)
+    code = finish()
     sock.close()
-    assert codes["server"] == 3
+    assert code == 3
     assert "client 0" in capsys.readouterr().err
 
 
 def test_client_oversized_frame_is_runtime_error(capsys):
-    from test_transport import oversized_broadcast_frames, serve_raw_frames
-
     port, server = serve_raw_frames(oversized_broadcast_frames(0xFFFFFFFF), 10.0)
     code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
     server.join(timeout=30)
@@ -283,8 +293,6 @@ def test_client_oversized_frame_is_runtime_error(capsys):
 
 def test_client_exits_at_once_on_a_peer_that_is_not_fedrk(capsys):
     # read as a header, "HTTP/1.1" declares an 825,110,831-byte payload
-    from test_transport import serve_raw_frames
-
     port, server = serve_raw_frames([b"HTTP/1.1 200 OK\r\n\r\n"], 10.0)
     start = time.monotonic()
     code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
@@ -303,7 +311,6 @@ def test_client_exits_at_once_on_a_peer_that_is_not_fedrk(capsys):
 ], ids=["nan_rows", "zero_rows", "nan_broadcast"])
 def test_client_invalid_peer_message_is_runtime_error(kind, message, capsys):
     from fedrk.transport import AssignPartition, Broadcast, encode
-    from test_transport import serve_raw_frames
 
     A = np.ones((2, 3))
     if kind == "nan_rows":
@@ -344,6 +351,22 @@ def test_exp_spec_key_the_experiment_ignores_is_config_error(tmp_path, capsys):
     spec_path.write_text("name=lsq\ntrials=1\nsparsity=2\n")
     assert main(["exp", "lsq", "--spec", str(spec_path), "--out", str(tmp_path)]) == 2
     assert "the lsq experiment does not read sparsity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name=convergence\ntrials=0\n", "trials must be at least 1"),
+    ("name=convergence\ntau_list=2,2\n", "tau_list must list distinct values >= 1"),
+    ("name=lsq\naugment_cols=-1\n", "augment_cols must list distinct values >= 0"),
+    ("name=lsq\nrounds=3\nrounds=4\n", "spec key 'rounds' is given twice"),
+], ids=["no_trials", "repeated_tau", "negative_augment", "repeated_key"])
+def test_exp_spec_the_runner_cannot_report_on_is_config_error(text, message, tmp_path, capsys):
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text(text)
+    name = text.split("\n")[0].removeprefix("name=")
+    out = tmp_path / "res"
+    assert main(["exp", name, "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exp_convergence_small(tmp_path):

@@ -17,7 +17,7 @@ from fedrk.core import (
     hard_threshold,
     load_dmat,
     load_matrix_csv,
-    load_vector_csv,
+    load_vector,
     rk_step,
     row_norms_sq,
     sample_rows,
@@ -295,7 +295,7 @@ def test_vector_csv_round_trip(tmp_path):
     v = np.random.default_rng(4).standard_normal(7)
     path = tmp_path / "b.csv"
     save_vector_csv(path, v)
-    assert np.array_equal(load_vector_csv(path), v)
+    assert np.array_equal(load_vector(path), v)
 
 
 def test_dmat_round_trip(tmp_path):
@@ -303,6 +303,16 @@ def test_dmat_round_trip(tmp_path):
     path = tmp_path / "a.dmat"
     save_dmat(path, m)
     assert np.array_equal(load_dmat(path), m)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".dmat"])
+def test_load_vector_refuses_more_than_one_column(suffix, tmp_path):
+    path = tmp_path / f"b{suffix}"
+    (save_dmat if suffix == ".dmat" else save_matrix_csv)(path, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="expected a single column, got 2"):
+        load_vector(path)
+    save_dmat(tmp_path / "v.dmat", np.arange(3.0).reshape(3, 1))
+    assert np.array_equal(load_vector(tmp_path / "v.dmat"), np.arange(3.0))
 
 
 def test_dmat_rejects_corruption(tmp_path):

@@ -178,6 +178,34 @@ def test_spec_refuses_a_key_its_experiment_ignores(name, key, value):
         getattr(ExperimentSpec, name)(**{key: value})
 
 
+@pytest.mark.parametrize("name, key, value, message", [
+    ("convergence", "trials", 0, "trials must be at least 1"),
+    ("sparse", "trials", 0, "trials must be at least 1"),
+    ("prostate", "trials", 0, "trials must be at least 1"),
+    ("lsq", "rounds", 0, "the lsq experiment needs rounds >= 1"),
+    ("convergence", "tau_list", (), "tau_list must list distinct values >= 1"),
+    ("convergence", "tau_list", (2, 2), "tau_list must list distinct values >= 1"),
+    ("convergence", "tau_list", (0, 2), "tau_list must list distinct values >= 1"),
+    ("lsq", "augment_cols", (), "augment_cols must list distinct values >= 0"),
+    ("lsq", "augment_cols", (0, 0), "augment_cols must list distinct values >= 0"),
+    ("lsq", "augment_cols", (-1,), "augment_cols must list distinct values >= 0"),
+], ids=[
+    "convergence_trials", "sparse_trials", "prostate_trials", "lsq_rounds", "empty_tau",
+    "repeated_tau", "zero_tau", "empty_augment", "repeated_augment", "negative_augment",
+])
+def test_spec_refuses_what_its_runner_cannot_report_on(name, key, value, message):
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_text(f"name={name}\n{key}={text}\n")
+    with pytest.raises(ValueError, match=message):
+        getattr(ExperimentSpec, name)(**{key: value})
+
+
+def test_spec_refuses_a_repeated_key():
+    with pytest.raises(ValueError, match="spec key 'rounds' is given twice"):
+        ExperimentSpec.from_text("name=lsq\nrounds=3\nrounds=4\n")
+
+
 # ---------------------------------------------------------------------------
 # convergence runner
 # ---------------------------------------------------------------------------

@@ -19,17 +19,11 @@ from fedrk.federation import (
     sample_clients,
 )
 from fedrk.solver import LinearSystem
+from harness import gaussian_consistent
 from oracles import project_onto_solution_set
 
 SQNORM = SamplingScheme.squared_row_norm()
 UNIFORM = SamplingScheme.uniform()
-
-
-def gaussian_consistent(m, n, seed):
-    g = np.random.default_rng(seed)
-    A = g.standard_normal((m, n))
-    x_star = g.standard_normal(n)
-    return LinearSystem(A, A @ x_star), x_star
 
 
 def axes_system():

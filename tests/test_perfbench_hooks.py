@@ -14,21 +14,24 @@ import numpy as np
 import pytest
 
 from fedrk.cli import build_parser
+from fedrk.experiments import ExperimentSpec
 from fedrk.federation import RunConfig, fed_run
 from fedrk.solver import LinearSystem
 from fedrk.transport import Endpoint, run_server
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize(
@@ -67,12 +70,8 @@ def test_set_up_marker_fires_in_the_first_round(module_name, attr, run):
 def test_client_fleet_command_line_parses(monkeypatch, tmp_path):
     # the TCP workload starts its clients through perfbench/client.py, which
     # hands everything after its own three arguments to ``fedrk`` unchanged
-    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", TRACER_PATH.parent / "worker.py"
-    )
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = load_perfbench("worker")
     commands = []
 
     def fake_popen(cmd, **kwargs):
@@ -85,3 +84,8 @@ def test_client_fleet_command_line_parses(monkeypatch, tmp_path):
     (cmd,) = commands
     parsed = build_parser().parse_args(cmd[5:])
     assert (parsed.command, parsed.port, parsed.id) == ("client", 7571, 0)
+
+
+def test_paper_convergence_keys_make_a_valid_spec():
+    spec = ExperimentSpec.convergence(**load_perfbench("workloads").PAPER, seed=1)
+    assert (spec.trials, spec.tau_list, spec.rounds) == (2, (10, 20, 40), 200)

@@ -15,16 +15,10 @@ from fedrk.solver import (
     rk_iterate,
     rk_run,
 )
+from harness import gaussian_consistent
 
 UNIFORM = SamplingScheme.uniform()
 SQNORM = SamplingScheme.squared_row_norm()
-
-
-def gaussian_consistent(m, n, seed):
-    g = np.random.default_rng(seed)
-    A = g.standard_normal((m, n))
-    x_star = g.standard_normal(n)
-    return LinearSystem(A, A @ x_star), x_star
 
 
 # ---------------------------------------------------------------------------

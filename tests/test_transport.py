@@ -22,7 +22,6 @@ from fedrk.errors import (
     Truncated,
 )
 from fedrk.federation import RunConfig, client_local_update, fed_run
-from fedrk.solver import LinearSystem
 from fedrk.transport import (
     AssignPartition,
     Broadcast,
@@ -37,21 +36,16 @@ from fedrk.transport import (
     run_server,
     write_frame,
 )
-
-
-def gaussian_consistent(m, n, seed):
-    g = np.random.default_rng(seed)
-    A = g.standard_normal((m, n))
-    x_star = g.standard_normal(n)
-    return LinearSystem(A, A @ x_star), x_star
-
-
-def free_port():
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+from harness import (
+    connect,
+    free_port,
+    gaussian_consistent,
+    join_first_broadcast,
+    oversized_broadcast_frames,
+    run_socket,
+    serve_in_thread,
+    serve_raw_frames,
+)
 
 
 def random_message(g):
@@ -362,31 +356,15 @@ def test_loopback_with_threshold_matches_fed_run():
 # socket transport
 # ---------------------------------------------------------------------------
 
-def run_socket_round(system, cfg, port, x0=None, x_ref=None, timeout=15.0):
-    result = {}
-
-    def serve():
-        result["out"] = run_server(
-            Endpoint.server("127.0.0.1", port), system, cfg, x0=x0, x_ref=x_ref,
-            timeout=timeout,
-        )
-
-    server = threading.Thread(target=serve)
-    server.start()
-    time.sleep(0.05)
-    clients = [
-        threading.Thread(
-            target=run_client, args=(Endpoint.client("127.0.0.1", port), cid)
-        )
-        for cid in range(cfg.clients)
-    ]
-    for thread in clients:
-        thread.start()
-    server.join(timeout=60)
-    for thread in clients:
-        thread.join(timeout=60)
-    assert "out" in result, "server thread did not finish"
-    return result["out"]
+def serve_one_client(system, timeout=5.0):
+    """A one-client ``run_server`` in a thread; returns (port, finish)."""
+    port = free_port()
+    cfg = RunConfig(
+        clients=1, participants=1, local_iters=2, global_iters=2, rounds=3, master_seed=4,
+    )
+    return port, serve_in_thread(
+        lambda: run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=timeout)
+    )
 
 
 def test_socket_matches_loopback():
@@ -396,7 +374,7 @@ def test_socket_matches_loopback():
         rounds=5, master_seed=77,
     )
     x_loop, trace_loop = run_server(Endpoint.loopback(), system, cfg, x_ref=x_star)
-    x_sock, trace_sock = run_socket_round(system, cfg, free_port(), x_ref=x_star)
+    x_sock, trace_sock = run_socket(system, cfg, x_ref=x_star)
     assert np.array_equal(x_loop, x_sock)
     assert trace_loop.csv_text() == trace_sock.csv_text()
 
@@ -446,33 +424,24 @@ def test_socket_client_killed_mid_round():
         rounds=4, master_seed=5,
     )
     port = free_port()
-    result = {}
-
-    def serve():
-        try:
-            run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=5.0)
-        except RoundError as exc:
-            result["error"] = exc
-
-    server = threading.Thread(target=serve)
-    server.start()
-    time.sleep(0.05)
-
+    finish = serve_in_thread(
+        lambda: run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=5.0)
+    )
     good = threading.Thread(
         target=lambda: _tolerant_client(Endpoint.client("127.0.0.1", port), 0)
     )
     good.start()
 
     # client 1 logs in, then dies without ever answering a broadcast
-    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    sock = connect(port)
     write_frame(sock, Delta(0, 1, np.zeros(0)))
     time.sleep(0.2)
     sock.close()
 
-    server.join(timeout=30)
+    err = finish()
     good.join(timeout=30)
-    assert isinstance(result.get("error"), RoundError)
-    assert (result["error"].client_id, result["error"].round_index) == (1, 1)
+    assert isinstance(err, RoundError)
+    assert (err.client_id, err.round_index) == (1, 1)
 
 
 def _tolerant_client(endpoint, client_id):
@@ -489,23 +458,14 @@ def test_socket_timeout_names_client():
         rounds=2, master_seed=1,
     )
     port = free_port()
-    result = {}
-
-    def serve():
-        try:
-            run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=1.0)
-        except RoundError as exc:
-            result["error"] = exc
-
-    server = threading.Thread(target=serve)
-    server.start()
-    time.sleep(0.05)
+    finish = serve_in_thread(
+        lambda: run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=1.0)
+    )
     # logs in but never responds to the broadcast, and keeps the socket open
-    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    sock = connect(port)
     write_frame(sock, Delta(0, 0, np.zeros(0)))
-    server.join(timeout=30)
+    err = finish()
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert (err.client_id, err.round_index) == (0, 1)
     assert str(err) == "round 1: client 0 timed out"
@@ -513,84 +473,24 @@ def test_socket_timeout_names_client():
 
 def test_socket_stale_round_delta_rejected():
     system, _ = gaussian_consistent(6, 2, 9)
-    cfg = RunConfig(
-        clients=1, participants=1, local_iters=2, global_iters=2,
-        rounds=3, master_seed=4,
-    )
-    port = free_port()
-    result = {}
-
-    def serve():
-        try:
-            run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=5.0)
-        except RoundError as exc:
-            result["error"] = exc
-
-    server = threading.Thread(target=serve)
-    server.start()
-    time.sleep(0.05)
-
-    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-    sock.settimeout(5.0)
-    write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
-    assign = read_frame(sock)
-    assert isinstance(assign, AssignPartition)
-    broadcast = read_frame(sock)
-    assert isinstance(broadcast, Broadcast) and broadcast.round_index == 0
+    port, finish = serve_one_client(system)
+    sock = join_first_broadcast(port)
     # reply labelled with a round that is not the current one
     write_frame(sock, Delta(2, 0, np.zeros(2)))
-    server.join(timeout=30)
+    err = finish()
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert (err.client_id, err.round_index) == (0, 1)
     assert "stale" in str(err)
 
 
-def serve_in_thread(system, cfg, port, timeout):
-    """Start run_server on a socket endpoint; returns (thread, result box)."""
-    result = {}
-
-    def serve():
-        try:
-            result["out"] = run_server(
-                Endpoint.server("127.0.0.1", port), system, cfg, timeout=timeout
-            )
-        except RoundError as exc:
-            result["error"] = exc
-
-    server = threading.Thread(target=serve)
-    server.start()
-    time.sleep(0.05)
-    return server, result
-
-
-def join_first_broadcast(port):
-    """Log in as client 0 by hand and read up to the round-0 Broadcast."""
-    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-    sock.settimeout(5.0)
-    write_frame(sock, Delta(0, 0, np.zeros(0)))  # hello
-    assert isinstance(read_frame(sock), AssignPartition)
-    broadcast = read_frame(sock)
-    assert isinstance(broadcast, Broadcast) and broadcast.round_index == 0
-    return sock
-
-
-def one_client_config():
-    return RunConfig(
-        clients=1, participants=1, local_iters=2, global_iters=2, rounds=3, master_seed=4,
-    )
-
-
 def test_socket_non_finite_delta_names_client():
     system, _ = gaussian_consistent(6, 2, 11)
-    port = free_port()
-    server, result = serve_in_thread(system, one_client_config(), port, timeout=5.0)
+    port, finish = serve_one_client(system)
     sock = join_first_broadcast(port)
     write_frame(sock, Delta(0, 0, np.array([np.nan, 1.0])))
-    server.join(timeout=30)
+    err = finish()
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert err.client_id == 0
     assert "non-finite" in str(err)
@@ -598,13 +498,11 @@ def test_socket_non_finite_delta_names_client():
 
 def test_socket_short_delta_names_client():
     system, _ = gaussian_consistent(8, 4, 11)
-    port = free_port()
-    server, result = serve_in_thread(system, one_client_config(), port, timeout=5.0)
+    port, finish = serve_one_client(system)
     sock = join_first_broadcast(port)
     write_frame(sock, Delta(0, 0, np.ones(3)))
-    server.join(timeout=30)
+    err = finish()
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert (err.client_id, err.round_index) == (0, 1)
     assert str(err) == "round 1: client 0 sent 3 delta entries for 4 columns"
@@ -612,13 +510,11 @@ def test_socket_short_delta_names_client():
 
 def test_socket_bad_magic_in_place_of_delta_names_client_and_round():
     system, _ = gaussian_consistent(6, 2, 14)
-    port = free_port()
-    server, result = serve_in_thread(system, one_client_config(), port, timeout=5.0)
+    port, finish = serve_one_client(system)
     sock = join_first_broadcast(port)
     sock.sendall(b"XX" + encode(Delta(0, 0, np.ones(2)))[2:])
-    server.join(timeout=30)
+    err = finish()
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert isinstance(err.__cause__, BadMagic)
     assert (err.client_id, err.round_index) == (0, 1)
@@ -627,17 +523,15 @@ def test_socket_bad_magic_in_place_of_delta_names_client_and_round():
 
 def test_socket_oversized_delta_frame_rejected_before_payload():
     system, _ = gaussian_consistent(6, 2, 12)
-    port = free_port()
     timeout = 10.0
-    server, result = serve_in_thread(system, one_client_config(), port, timeout)
+    port, finish = serve_one_client(system, timeout)
     sock = join_first_broadcast(port)
     start = time.monotonic()
     # a Delta header declaring 0xFFFFFFFF payload bytes, and no payload
     sock.sendall(b"FK" + bytes([1, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
-    server.join(timeout=30)
+    err = finish()
     elapsed = time.monotonic() - start
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert (err.client_id, err.round_index) == (0, 1)
     assert isinstance(err.__cause__, LengthMismatch)
@@ -646,50 +540,17 @@ def test_socket_oversized_delta_frame_rejected_before_payload():
 
 def test_socket_oversized_hello_rejected_before_payload():
     system, _ = gaussian_consistent(6, 2, 13)
-    port = free_port()
     timeout = 10.0
-    server, result = serve_in_thread(system, one_client_config(), port, timeout)
-    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    port, finish = serve_one_client(system, timeout)
+    sock = connect(port)
     start = time.monotonic()
     sock.sendall(b"FK" + bytes([1, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
-    server.join(timeout=30)
+    err = finish()
     elapsed = time.monotonic() - start
     sock.close()
-    err = result.get("error")
     assert isinstance(err, RoundError)
     assert isinstance(err.__cause__, LengthMismatch)
     assert elapsed < timeout / 4
-
-
-def serve_raw_frames(frames, timeout):
-    """A fake one-client server: it answers the hello with the raw ``frames``,
-    then waits for the client to hang up. Returns (port, thread)."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(timeout)
-
-    def serve():
-        with listener:
-            sock, _ = listener.accept()
-            with sock:
-                sock.settimeout(timeout)
-                read_frame(sock)  # the hello
-                for frame in frames:
-                    sock.sendall(frame)
-                try:
-                    sock.recv(1)
-                except ConnectionResetError:
-                    pass  # the client hung up with bytes of ours unread
-
-    server = threading.Thread(target=serve)
-    server.start()
-    return listener.getsockname()[1], server
-
-
-def oversized_broadcast_frames(declared):
-    """A valid AssignPartition of a 2x3 block, then a Broadcast header that
-    declares ``declared`` payload bytes and sends none of them."""
-    assign = encode(AssignPartition(0, np.ones((2, 3)), np.arange(1.0, 3.0)))
-    return [assign, b"FK" + bytes([1, 2]) + declared.to_bytes(4, "little")]
 
 
 # a Broadcast for 3 columns is 20 + 8 * 3 = 44 payload bytes
@@ -728,29 +589,21 @@ def test_socket_duplicate_client_id_rejected():
         rounds=1, master_seed=0,
     )
     port = free_port()
-    result = {}
-
-    def serve():
-        try:
-            run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=5.0)
-        except RoundError as exc:
-            result["error"] = exc
-
-    server = threading.Thread(target=serve)
-    server.start()
-    time.sleep(0.05)
+    finish = serve_in_thread(
+        lambda: run_server(Endpoint.server("127.0.0.1", port), system, cfg, timeout=5.0)
+    )
     socks = []
     for _ in range(2):
-        sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+        sock = connect(port)
         write_frame(sock, Delta(0, 1, np.zeros(0)))  # both claim id 1
         socks.append(sock)
-    server.join(timeout=30)
+    err = finish()
     # the server closed the socket of the client that had already joined
     socks[0].settimeout(2.0)
     first_read = socks[0].recv(1)
     for sock in socks:
         sock.close()
-    assert isinstance(result.get("error"), RoundError)
+    assert isinstance(err, RoundError)
     assert first_read == b""
 
 
