@@ -25,6 +25,7 @@ __all__ = [
     "rk_step",
     "hard_threshold",
     "sample_rows",
+    "format_csv",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_vector_csv",
@@ -32,7 +33,6 @@ __all__ = [
     "load_dmat",
     "load_matrix",
     "load_vector",
-    "parse_key_values",
 ]
 
 _U64_MAX = 2**64 - 1
@@ -192,30 +192,40 @@ def hard_threshold(x, s):
     return out
 
 
-def sample_rows(scheme, rng, matrix, count, cdf=None):
-    """Draw ``count`` i.i.d. row indices of ``matrix`` under ``scheme``.
+def sample_rows(cdf, rng, count):
+    """Draw ``count`` i.i.d. row indices from ``cdf``, an inverse-CDF table
+    such as :meth:`SamplingScheme.cdf` gives.
 
-    Inverse-CDF on one uniform per draw, so splitting a run into two calls
-    on the same stream yields the same indices as a single call. A ``cdf``
-    kept from ``scheme.cdf`` of the matrix's row norms replaces ``matrix``.
+    One uniform per draw, so splitting a run into two calls on the same
+    stream yields the same indices as a single call.
     """
-    if cdf is None:
-        cdf = scheme.cdf(row_norms_sq(matrix))
     return np.searchsorted(cdf, rng.generator.random(count), side="right")
 
 
 # ---------------------------------------------------------------------------
-# file formats: CSV (one row per line), raw binary DMAT, key=value text
+# file formats: CSV (one row per line) and raw binary DMAT
 # ---------------------------------------------------------------------------
 
 _DMAT_MAGIC = b"DMAT"
 
 
+def _csv_field(value):
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def format_csv(rows, header=None):
+    """CSV text of ``rows`` under an optional ``header`` line: a float field is
+    ``repr(float(v))``, None is empty and anything else is ``str(v)``."""
+    lines = [] if header is None else [header]
+    lines += (",".join(_csv_field(v) for v in row) for row in rows)
+    return "".join(line + "\n" for line in lines)
+
+
 def save_matrix_csv(path, matrix):
-    m = as_matrix(matrix)
     with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(format_csv(as_matrix(matrix)))
 
 
 def load_matrix_csv(path):
@@ -235,10 +245,8 @@ def load_matrix_csv(path):
 
 
 def save_vector_csv(path, vector):
-    v = as_vector(vector)
     with open(path, "w") as fh:
-        for value in v:
-            fh.write(repr(float(value)) + "\n")
+        fh.write(format_csv(as_vector(vector)[:, None]))
 
 
 def save_dmat(path, matrix):
@@ -277,25 +285,3 @@ def load_vector(path):
     if m.shape[1] != 1:
         raise ValueError(f"{path}: expected a single column, got {m.shape[1]}")
     return m[:, 0].copy()
-
-
-def parse_key_values(text, known, kind="config"):
-    """Parse ``key=value`` lines into a dict, rejecting keys not in ``known``.
-
-    Blank lines and ``#`` comments are skipped.
-    """
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad {kind} line {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise ValueError(f"{kind} key {key!r} is given twice")
-        fields[key] = value
-    unknown = set(fields) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
-    return fields

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RngStream, as_matrix, derive_seed, parse_key_values
+from .core import RngStream, as_matrix, derive_seed, format_csv
 from .datasets import FEATURE_NAMES, load_prostate
 from .errors import RankDeficient
 # fed_run is not called here, but perfbench's tracer patches fedrk.experiments.fed_run
@@ -38,16 +38,27 @@ __all__ = [
     "least_squares_solution",
 ]
 
-EXPERIMENTS = ("convergence", "sparse", "lsq", "prostate")
-
-# the spec keys each runner reads; a spec setting any other is refused
-_RUN_KEYS = ("clients", "participants", "global_iters", "rounds", "trials", "seed")
-_SPEC_KEYS = {
-    "convergence": _RUN_KEYS + ("m", "n", "tau_list"),
-    "sparse": _RUN_KEYS + ("m", "n", "local_iters", "sparsity", "noise_scale"),
-    "lsq": _RUN_KEYS + ("m", "n", "local_iters", "augment_cols", "consistent"),
-    "prostate": _RUN_KEYS + ("local_iters", "sparsity", "use_train_split"),
+# each experiment's defaults; a spec may set exactly the keys of its entry,
+# and a spec file's value parses as the type of its key's default
+_DEFAULTS = {
+    "convergence": dict(
+        m=2048, n=1024, clients=16, participants=5, global_iters=20, rounds=200, trials=50,
+        seed=20240, tau_list=(10, 20, 40),
+    ),
+    "sparse": dict(
+        m=256, n=1024, clients=16, participants=5, local_iters=20, global_iters=20,
+        rounds=1000, trials=50, seed=20241, sparsity=9, noise_scale=0.01,
+    ),
+    "lsq": dict(
+        m=2048, n=256, clients=16, participants=16, local_iters=20, global_iters=20,
+        rounds=400, trials=20, seed=20242, augment_cols=(0, 256, 768), consistent=False,
+    ),
+    "prostate": dict(
+        clients=7, participants=3, local_iters=20, global_iters=20, rounds=2000, trials=5,
+        seed=20243, sparsity=5, use_train_split=False,
+    ),
 }
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 def gen_gaussian_system(m, n, rng):
@@ -88,18 +99,18 @@ def augment_columns(A, k, rng):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parameters of one experiment run."""
+    """Parameters of one experiment run; the fields it does not read keep their defaults."""
 
     name: str
-    m: int
-    n: int
     clients: int
     participants: int
-    local_iters: int
     global_iters: int
     rounds: int
     trials: int
     seed: int
+    m: Optional[int] = None
+    n: Optional[int] = None
+    local_iters: Optional[int] = None
     sparsity: Optional[int] = None
     noise_scale: float = 0.0
     tau_list: tuple = ()
@@ -109,44 +120,28 @@ class ExperimentSpec:
 
     @classmethod
     def convergence(cls, **overrides):
-        return cls._build(
-            "convergence", overrides, m=2048, n=1024, clients=16, participants=5,
-            local_iters=20, global_iters=20, rounds=200, trials=50, seed=20240,
-            tau_list=(10, 20, 40),
-        )
+        return cls._build("convergence", overrides)
 
     @classmethod
     def sparse(cls, **overrides):
-        return cls._build(
-            "sparse", overrides, m=256, n=1024, clients=16, participants=5,
-            local_iters=20, global_iters=20, rounds=1000, trials=50, seed=20241,
-            sparsity=9, noise_scale=0.01,
-        )
+        return cls._build("sparse", overrides)
 
     @classmethod
     def lsq(cls, **overrides):
-        return cls._build(
-            "lsq", overrides, m=2048, n=256, clients=16, participants=16,
-            local_iters=20, global_iters=20, rounds=400, trials=20, seed=20242,
-            augment_cols=(0, 256, 768),
-        )
+        return cls._build("lsq", overrides)
 
     @classmethod
     def prostate(cls, **overrides):
-        return cls._build(
-            "prostate", overrides, m=97, n=9, clients=7, participants=3,
-            local_iters=20, global_iters=20, rounds=2000, trials=5, seed=20243,
-            sparsity=5,
-        )
+        return cls._build("prostate", overrides)
 
     @classmethod
-    def _build(cls, name, overrides, **defaults):
+    def _build(cls, name, overrides):
         """The ``name`` spec: its defaults, then ``overrides``, each of which
         must be a key that experiment reads."""
-        ignored = sorted(set(overrides) - set(_SPEC_KEYS[name]))
+        ignored = sorted(set(overrides) - set(_DEFAULTS[name]))
         if ignored:
             raise ValueError(f"the {name} experiment does not read {', '.join(ignored)}")
-        spec = cls(name=name, **{**defaults, **overrides})
+        spec = cls(name=name, **{**_DEFAULTS[name], **overrides})
         if spec.trials < 1:
             raise ValueError("trials must be at least 1")
         if name == "convergence":
@@ -155,32 +150,52 @@ class ExperimentSpec:
             _check_distinct("augment_cols", spec.augment_cols, 0)
             if spec.rounds < 1:
                 raise ValueError("the lsq experiment needs rounds >= 1")
+            if spec.m < spec.n:
+                raise ValueError("the lsq experiment needs m >= n")
         return spec
 
     @classmethod
     def from_text(cls, text):
-        values = parse_key_values(text, [f.name for f in fields(cls)], kind="spec")
+        """The spec of ``key=value`` lines; blank lines and ``#`` comments are skipped."""
+        values = {}
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad spec line {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"spec key {key!r} is given twice")
+            values[key] = value
+        unknown = set(values) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
         name = values.pop("name", None)
         if name not in EXPERIMENTS:
             raise ValueError(f"spec name must be one of {', '.join(EXPERIMENTS)}")
-        overrides = {}
-        for key, value in values.items():
-            if key == "noise_scale":
-                overrides[key] = float(value)
-            elif key in ("consistent", "use_train_split"):
-                if value not in ("true", "false"):
-                    raise ValueError(f"{key} must be true or false")
-                overrides[key] = value == "true"
-            elif key in ("tau_list", "augment_cols"):
-                overrides[key] = tuple(int(v) for v in value.split(",")) if value else ()
-            else:
-                overrides[key] = int(value)
-        return getattr(cls, name)(**overrides)
+        defaults = _DEFAULTS[name]
+        # a key the experiment does not read keeps its text, for _build to refuse
+        for key in sorted(values.keys() & defaults.keys()):
+            values[key] = _parse_value(key, values[key], defaults[key])
+        return getattr(cls, name)(**values)
 
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
             return cls.from_text(fh.read())
+
+
+def _parse_value(key, text, default):
+    """A spec file's ``text`` for ``key``, as the type of its ``default``: a bool
+    is true or false, a tuple comma-separated ints."""
+    if isinstance(default, bool):
+        if text not in ("true", "false"):
+            raise ValueError(f"{key} must be true or false")
+        return text == "true"
+    if isinstance(default, tuple):
+        return tuple(int(v) for v in text.split(",")) if text else ()
+    return type(default)(text)
 
 
 def _check_distinct(key, values, least):
@@ -189,7 +204,7 @@ def _check_distinct(key, values, least):
         raise ValueError(f"{key} must list distinct values >= {least}, at least one")
 
 
-def _run_config(spec, *run_ids, local_iters=None, sparsity=None):
+def _run_config(spec, *run_ids, local_iters=None):
     """The run config of one trial; its master seed derives from ``run_ids``."""
     return RunConfig(
         clients=spec.clients,
@@ -197,7 +212,7 @@ def _run_config(spec, *run_ids, local_iters=None, sparsity=None):
         local_iters=spec.local_iters if local_iters is None else local_iters,
         global_iters=spec.global_iters,
         rounds=spec.rounds,
-        sparsity=sparsity,
+        sparsity=spec.sparsity,
         master_seed=derive_seed(spec.seed, "run", *run_ids),
     )
 
@@ -212,11 +227,9 @@ class ConvergenceResult:
     curves: dict  # tau -> median relative error, index = round
 
     def csv_text(self):
-        lines = ["tau,round,median_relative_error"]
-        for tau in self.spec.tau_list:
-            for t, value in enumerate(self.curves[tau]):
-                lines.append(f"{tau},{t},{repr(float(value))}")
-        return "\n".join(lines) + "\n"
+        rows = [(tau, t, value) for tau in self.spec.tau_list
+                for t, value in enumerate(self.curves[tau])]
+        return format_csv(rows, "tau,round,median_relative_error")
 
 
 def run_convergence_experiment(spec, out_dir=None):
@@ -266,17 +279,14 @@ class SparseResult:
         return float(np.mean(self.support_recovered))
 
     def counts_csv_text(self):
-        lines = ["index,count,is_true_support"]
         true = set(self.true_support)
-        for j, count in enumerate(self.selection_counts):
-            lines.append(f"{j},{int(count)},{1 if j in true else 0}")
-        return "\n".join(lines) + "\n"
+        rows = [(j, count, int(j in true)) for j, count in enumerate(self.selection_counts)]
+        return format_csv(rows, "index,count,is_true_support")
 
     def trials_csv_text(self):
-        lines = ["trial,relative_error,support_recovered"]
-        for i, (err, rec) in enumerate(zip(self.relative_errors, self.support_recovered)):
-            lines.append(f"{i},{repr(float(err))},{1 if rec else 0}")
-        return "\n".join(lines) + "\n"
+        rows = [(i, err, int(rec)) for i, (err, rec)
+                in enumerate(zip(self.relative_errors, self.support_recovered))]
+        return format_csv(rows, "trial,relative_error,support_recovered")
 
 
 def run_sparse_experiment(spec, out_dir=None):
@@ -299,7 +309,7 @@ def run_sparse_experiment(spec, out_dir=None):
     recovered = np.zeros(spec.trials, dtype=bool)
     for trial in range(spec.trials):
         x0 = RngStream(spec.seed, ("init", trial)).generator.standard_normal(spec.n)
-        config = _run_config(spec, trial, sparsity=spec.sparsity)
+        config = _run_config(spec, trial)
         x_final = run_rounds(system, config, x0, lambda *_: False)  # no trace is read
         support = np.flatnonzero(x_final)
         counts[support] += 1
@@ -325,11 +335,9 @@ class LsqResult:
         return float(np.median(self.horizons[k]))
 
     def csv_text(self):
-        lines = ["k,trial,horizon"]
-        for k in self.spec.augment_cols:
-            for trial, value in enumerate(self.horizons[k]):
-                lines.append(f"{k},{trial},{repr(float(value))}")
-        return "\n".join(lines) + "\n"
+        rows = [(k, trial, value) for k in self.spec.augment_cols
+                for trial, value in enumerate(self.horizons[k])]
+        return format_csv(rows, "k,trial,horizon")
 
 
 def least_squares_solution(system):
@@ -393,11 +401,9 @@ class ProstateResult:
         return tuple(self.feature_names[j] for j in order[:how_many])
 
     def csv_text(self):
-        lines = ["trial,feature,count"]
-        for trial in range(self.counts.shape[0]):
-            for j, name in enumerate(self.feature_names):
-                lines.append(f"{trial},{name},{int(self.counts[trial, j])}")
-        return "\n".join(lines) + "\n"
+        rows = [(trial, name, count) for trial, counts in enumerate(self.counts)
+                for name, count in zip(self.feature_names, counts)]
+        return format_csv(rows, "trial,feature,count")
 
 
 def _round_robin_order(rows, clients):
@@ -419,7 +425,7 @@ def run_prostate_experiment(spec, data_path=None, out_dir=None):
     counts = np.zeros((spec.trials, n_features), dtype=np.int64)
     for trial in range(spec.trials):
         x0 = RngStream(spec.seed, ("init", trial)).generator.standard_normal(n_features)
-        config = _run_config(spec, trial, sparsity=spec.sparsity)
+        config = _run_config(spec, trial)
 
         def on_round(t, x, participants, dropped, trial=trial):
             if t:

@@ -19,6 +19,7 @@ from .core import (
     RngStream,
     SamplingScheme,
     derive_seed,
+    format_csv,
     hard_threshold,
     row_norms_sq,
     zero_row_tol,
@@ -159,14 +160,9 @@ class FedTrace:
         self.dropped.append(int(dropped_rows))
 
     def csv_text(self):
-        lines = ["round,error,residual,participants,dropped_rows"]
-        for t, err, res, parts, drop in zip(
-            self.rounds, self.errors, self.residuals, self.participants, self.dropped
-        ):
-            err_txt = "" if err is None else repr(err)
-            part_txt = ";".join(str(i) for i in parts)
-            lines.append(f"{t},{err_txt},{repr(res)},{part_txt},{drop}")
-        return "\n".join(lines) + "\n"
+        parts = (";".join(str(i) for i in p) for p in self.participants)
+        rows = zip(self.rounds, self.errors, self.residuals, parts, self.dropped)
+        return format_csv(rows, "round,error,residual,participants,dropped_rows")
 
     def to_csv(self, path):
         with open(path, "w") as fh:

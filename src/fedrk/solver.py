@@ -103,12 +103,12 @@ _CHUNK = 32
 _LOWER = np.tri(_CHUNK)
 
 
-def _sampled_rows(setup, iters, scheme, rng):
+def _sampled_rows(setup, iters, rng):
     """A run's row indices: one draw of ``iters`` uniforms on ``rng``."""
     if len(setup[0]) == 1:
         # every draw lands on row 0; skip the stream entirely
         return np.zeros(iters, dtype=np.intp)
-    return sample_rows(scheme, rng, None, iters, setup[3])
+    return sample_rows(setup[3], rng, iters)
 
 
 def _rk_sequential(setup, x, dead_tol, indices):
@@ -163,7 +163,7 @@ def rk_iterate(system, x, dead_tol, iters, scheme, rng):
     :func:`rk_run` to rounding. Every other run is that sequential kernel.
     """
     setup = system.kaczmarz_setup(scheme)
-    indices = _sampled_rows(setup, iters, scheme, rng)
+    indices = _sampled_rows(setup, iters, rng)
     if iters >= _CHUNK and len(setup[0]) <= min(iters, x.size):
         return _rk_dual(system, x, dead_tol, indices)
     return _rk_sequential(setup, x, dead_tol, indices)
@@ -185,7 +185,7 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None):
 
     dead_tol = zero_row_tol(float(np.linalg.norm(x))) ** 2
     setup = system.kaczmarz_setup(scheme)
-    indices = _sampled_rows(setup, iters, scheme, rng)
+    indices = _sampled_rows(setup, iters, rng)
 
     def current_value(point):
         if x_ref is not None:

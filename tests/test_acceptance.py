@@ -17,6 +17,7 @@ from fedrk.core import (
     derive_seed,
     hard_threshold,
     rk_step,
+    row_norms_sq,
     sample_rows,
 )
 from fedrk.datasets import default_prostate_path
@@ -95,7 +96,7 @@ def test_criterion_02_classic_rk_rate_bound():
             rng = RngStream(derive_seed(202, "rk-rate", sys_idx, scheme.kind))
             y = rng.generator.standard_normal(20)
             y /= np.linalg.norm(y)
-            idx = sample_rows(scheme, rng, A, steps)
+            idx = sample_rows(scheme.cdf(row_norms_sq(A)), rng, steps)
             total = 0.0
             for j in idx:
                 y_next = rk_step(A[j], 0.0, y)

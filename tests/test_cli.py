@@ -358,7 +358,11 @@ def test_exp_spec_key_the_experiment_ignores_is_config_error(tmp_path, capsys):
     ("name=convergence\ntau_list=2,2\n", "tau_list must list distinct values >= 1"),
     ("name=lsq\naugment_cols=-1\n", "augment_cols must list distinct values >= 0"),
     ("name=lsq\nrounds=3\nrounds=4\n", "spec key 'rounds' is given twice"),
-], ids=["no_trials", "repeated_tau", "negative_augment", "repeated_key"])
+    (
+        "name=lsq\nm=4\nn=8\nclients=2\nparticipants=2\nrounds=5\ntrials=1\naugment_cols=0\n",
+        "the lsq experiment needs m >= n",
+    ),
+], ids=["no_trials", "repeated_tau", "negative_augment", "repeated_key", "lsq_m_below_n"])
 def test_exp_spec_the_runner_cannot_report_on_is_config_error(text, message, tmp_path, capsys):
     spec_path = tmp_path / "spec.txt"
     spec_path.write_text(text)

@@ -184,14 +184,15 @@ def test_hard_threshold_best_s_term_brute_force():
 
 def test_sample_row_single_row_matrix():
     m = as_matrix([[2.0, 1.0]])
+    cdf = SamplingScheme.uniform().cdf(row_norms_sq(m))
     rng = RngStream(0)
-    assert all(sample_rows(SamplingScheme.uniform(), rng, m, 1)[0] == 0 for _ in range(10))
+    assert all(sample_rows(cdf, rng, 1)[0] == 0 for _ in range(10))
 
 
 def test_sample_rows_uniform_frequencies():
     m = as_matrix(np.ones((4, 2)))
     rng = RngStream(123, (0, 0))
-    idx = sample_rows(SamplingScheme.uniform(), rng, m, 100_000)
+    idx = sample_rows(SamplingScheme.uniform().cdf(row_norms_sq(m)), rng, 100_000)
     freqs = np.bincount(idx, minlength=4) / idx.size
     assert np.all(np.abs(freqs - 0.25) < 0.02)
 
@@ -199,7 +200,7 @@ def test_sample_rows_uniform_frequencies():
 def test_sample_rows_squared_norm_frequencies():
     m = as_matrix([[1.0, 0.0], [0.0, 2.0]])  # squared norms 1 and 4
     rng = RngStream(7, (1, 2))
-    idx = sample_rows(SamplingScheme.squared_row_norm(), rng, m, 100_000)
+    idx = sample_rows(SamplingScheme.squared_row_norm().cdf(row_norms_sq(m)), rng, 100_000)
     freqs = np.bincount(idx, minlength=2) / idx.size
     assert abs(freqs[0] - 0.2) < 0.02
     assert abs(freqs[1] - 0.8) < 0.02
@@ -215,27 +216,28 @@ def test_squared_norm_probabilities_exact():
 def test_sampling_errors():
     zeros = as_matrix(np.zeros((3, 2)))
     with pytest.raises(AllRowsZero):
-        sample_rows(SamplingScheme.squared_row_norm(), RngStream(0), zeros, 1)[0]
+        sample_rows(SamplingScheme.squared_row_norm().cdf(row_norms_sq(zeros)), RngStream(0), 1)[0]
     with pytest.raises(ValueError):
         SamplingScheme("custom").probabilities(row_norms_sq(zeros))
 
 
 def test_sampler_determinism():
     m = as_matrix(np.arange(8.0).reshape(4, 2) + 1.0)
-    a = sample_rows(SamplingScheme.squared_row_norm(), RngStream(42, (3, 1)), m, 1000)
-    b = sample_rows(SamplingScheme.squared_row_norm(), RngStream(42, (3, 1)), m, 1000)
-    c = sample_rows(SamplingScheme.squared_row_norm(), RngStream(42, (3, 2)), m, 1000)
+    cdf = SamplingScheme.squared_row_norm().cdf(row_norms_sq(m))
+    a = sample_rows(cdf, RngStream(42, (3, 1)), 1000)
+    b = sample_rows(cdf, RngStream(42, (3, 1)), 1000)
+    c = sample_rows(cdf, RngStream(42, (3, 2)), 1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sampler_split_draws_match_batch():
     m = as_matrix(np.ones((5, 3)))
-    scheme = SamplingScheme.uniform()
-    whole = sample_rows(scheme, RngStream(9, (0,)), m, 20)
+    cdf = SamplingScheme.uniform().cdf(row_norms_sq(m))
+    whole = sample_rows(cdf, RngStream(9, (0,)), 20)
     stream = RngStream(9, (0,))
-    first = sample_rows(scheme, stream, m, 8)
-    second = sample_rows(scheme, stream, m, 12)
+    first = sample_rows(cdf, stream, 8)
+    second = sample_rows(cdf, stream, 12)
     assert np.array_equal(whole, np.concatenate([first, second]))
 
 

@@ -1,5 +1,7 @@
 """Tests for instance generators, experiment runners, and their CSV schemas."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -189,9 +191,11 @@ def test_spec_refuses_a_key_its_experiment_ignores(name, key, value):
     ("lsq", "augment_cols", (), "augment_cols must list distinct values >= 0"),
     ("lsq", "augment_cols", (0, 0), "augment_cols must list distinct values >= 0"),
     ("lsq", "augment_cols", (-1,), "augment_cols must list distinct values >= 0"),
+    ("lsq", "m", 4, "the lsq experiment needs m >= n"),
 ], ids=[
     "convergence_trials", "sparse_trials", "prostate_trials", "lsq_rounds", "empty_tau",
     "repeated_tau", "zero_tau", "empty_augment", "repeated_augment", "negative_augment",
+    "lsq_m_below_n",
 ])
 def test_spec_refuses_what_its_runner_cannot_report_on(name, key, value, message):
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
@@ -199,6 +203,48 @@ def test_spec_refuses_what_its_runner_cannot_report_on(name, key, value, message
         ExperimentSpec.from_text(f"name={name}\n{key}={text}\n")
     with pytest.raises(ValueError, match=message):
         getattr(ExperimentSpec, name)(**{key: value})
+
+
+# every key each experiment reads, each set to a value other than its default
+EVERY_KEY = {
+    "convergence": dict(
+        m=64, n=16, clients=4, participants=2, global_iters=7, rounds=9, trials=3, seed=5,
+        tau_list=(2, 4),
+    ),
+    "sparse": dict(
+        m=32, n=64, clients=4, participants=2, local_iters=6, global_iters=7, rounds=9,
+        trials=3, seed=5, sparsity=3, noise_scale=0.5,
+    ),
+    "lsq": dict(
+        m=32, n=8, clients=4, participants=3, local_iters=6, global_iters=7, rounds=9,
+        trials=3, seed=5, augment_cols=(0, 8), consistent=True,
+    ),
+    "prostate": dict(
+        clients=4, participants=2, local_iters=6, global_iters=7, rounds=9, trials=3, seed=5,
+        sparsity=4, use_train_split=True,
+    ),
+}
+
+
+def spec_text_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_KEY))
+def test_spec_sets_only_the_keys_its_runner_reads(name):
+    values = EVERY_KEY[name]
+    default = getattr(ExperimentSpec, name)()
+    assert all(getattr(default, key) != value for key, value in values.items())
+    text = f"name={name}\n" + "".join(f"{k}={spec_text_value(v)}\n" for k, v in values.items())
+    spec = ExperimentSpec.from_text(text)
+    assert spec == getattr(ExperimentSpec, name)(**values)
+    assert {key: getattr(spec, key) for key in values} == values
+    for field in fields(ExperimentSpec):
+        if field.name not in values and field.name != "name":
+            assert getattr(spec, field.name) == field.default, field.name
+            assert getattr(default, field.name) == field.default, field.name
 
 
 def test_spec_refuses_a_repeated_key():

@@ -77,7 +77,7 @@ def test_rk_run_matches_repeated_rk_step():
     x, _ = rk_run(system, np.zeros(3), iters, SQNORM, RngStream(7))
     from fedrk.core import sample_rows
 
-    idx = sample_rows(SQNORM, RngStream(7), system.A, iters)
+    idx = sample_rows(SQNORM.cdf(row_norms_sq(system.A)), RngStream(7), iters)
     y = np.zeros(3)
     for j in idx:
         y = rk_step(system.A[j], system.b[j], y)
@@ -106,7 +106,7 @@ def test_rk_run_monte_carlo_contraction():
         y /= np.linalg.norm(y)
         from fedrk.core import sample_rows
 
-        idx = sample_rows(SQNORM, rng, zero_sys.A, steps)
+        idx = sample_rows(SQNORM.cdf(row_norms_sq(zero_sys.A)), rng, steps)
         for j in idx:
             y_next = rk_step(zero_sys.A[j], 0.0, y)
             ratios.append(float(np.dot(y_next, y_next)))
@@ -134,7 +134,7 @@ def test_rk_run_dimension_mismatch():
 def sequential_kernel(system, x, dead_tol, iters, scheme, rng):
     """rk_iterate without its choice of kernel: always the sequential one."""
     setup = system.kaczmarz_setup(scheme)
-    indices = solver._sampled_rows(setup, iters, scheme, rng)
+    indices = solver._sampled_rows(setup, iters, rng)
     return solver._rk_sequential(setup, x, dead_tol, indices)
 
 
