@@ -7,6 +7,8 @@ random streams and the matrix file formats all live here.
 """
 
 import hashlib
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ __all__ = [
     "row_norms_sq",
     "RngStream",
     "derive_seed",
+    "seed_sequence_words",
     "SamplingScheme",
     "rk_step",
     "hard_threshold",
@@ -113,11 +116,67 @@ class RngStream:
 def derive_seed(master_seed, *ids):
     """Derive a 64-bit seed from a master seed and integer/string ids.
 
-    The server uses this to hand each (round, client) pair its own stream
-    seed, so remote clients need no shared RNG state.
+    A (round, client) pair's seed is the one its remote client seeds its
+    local stream with, so clients need no shared RNG state.
     """
     seq = np.random.SeedSequence(int(master_seed), spawn_key=_spawn_key(ids))
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence: O'Neill's seed_seq_fe hash over a four-word pool
+_MASK32 = 0xFFFF_FFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _hash_consts(init, mult):
+    """The (xor, multiply) constant pairs of successive hash calls."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _u32(value):
+    # a uint32 array wraps by itself; an int is masked
+    return value & _MASK32 if isinstance(value, int) else value
+
+
+def _hashmix(value, consts):
+    xor, mult = next(consts)
+    value = _u32((value ^ xor) * mult)
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = _u32(_u32(_MIX_L * x) - _u32(_MIX_R * y))
+    return value ^ (value >> 16)
+
+
+def seed_sequence_words(entropy, count):
+    """The first ``count`` uint32 words of ``SeedSequence.generate_state``,
+    for many sequences at once.
+
+    ``entropy`` lists a sequence's assembled entropy words as numpy builds
+    them: the master seed's 32-bit words, padded to four when there is a
+    spawn key, then the spawn key's words. Each word is an int, the same for
+    every sequence, or a uint32 array with one entry per sequence. Returns
+    ``count`` words of that kind, bit-equal to numpy's.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, consts)
+            for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    return [_hashmix(pool[i % _POOL_WORDS], consts) for i in range(count)]
 
 
 _UNIFORM = "uniform"
@@ -265,10 +324,17 @@ def load_dmat(path):
         magic, rows, cols = struct.unpack("<4sII", header)
         if magic != _DMAT_MAGIC:
             raise ValueError(f"{path}: not a DMAT file")
-        body = fh.read()
-    expected = rows * cols * 8
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} data bytes, got {len(body)}")
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError(f"{path}: a DMAT must be a regular file")
+        expected = rows * cols * 8
+        # the size check comes first, so a long file is refused unread
+        got = info.st_size - len(header)
+        if got == expected:
+            body = fh.read(expected)
+            got = len(body)
+    if got != expected:
+        raise ValueError(f"{path}: expected {expected} data bytes, got {got}")
     data = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(rows, cols)
     return as_matrix(data, name=str(path))
 

@@ -22,6 +22,7 @@ from .core import (
     format_csv,
     hard_threshold,
     row_norms_sq,
+    seed_sequence_words,
     zero_row_tol,
 )
 from .errors import (
@@ -37,10 +38,12 @@ from .solver import LinearSystem, _as_point, gram_matrix, rk_iterate
 __all__ = [
     "TAG_SELECT",
     "TAG_SERVER",
+    "CHUNK_ROUNDS",
     "RunConfig",
     "ServerRoundSystem",
     "FedTrace",
     "RoundStreams",
+    "StreamTable",
     "client_blocks",
     "sample_clients",
     "round_tol",
@@ -105,12 +108,14 @@ class RunConfig:
     def __post_init__(self):
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
+        if self.clients > TAG_SERVER:
+            raise ValueError(f"clients must be <= {TAG_SERVER} (ids stay below the stream tags)")
         if not 1 <= self.participants <= self.clients:
             raise ValueError("participants must satisfy 1 <= N <= clients")
         if self.local_iters < 1 or self.global_iters < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        if not 0 <= self.rounds <= 2**32:
+            raise ValueError("rounds must satisfy 0 <= rounds <= 2**32 (u32 round indices)")
         if self.sparsity is not None and self.sparsity < 0:
             raise ValueError("sparsity must be >= 0 when present")
         if not 0 <= self.master_seed < 2**64:
@@ -185,6 +190,103 @@ class RoundStreams:
             server=RngStream(master_seed, (round_index, TAG_SERVER)),
             local_stream=lambda cid: RngStream(derive_seed(master_seed, round_index, cid)),
         )
+
+
+# rounds whose streams one fill of a StreamTable derives together
+CHUNK_ROUNDS = 64
+
+
+class _KeyedStream:
+    """A pooled Philox generator, re-keyed in place. A key alone fixes
+    everything Philox draws, so once keyed it draws what a fresh RngStream
+    with that key draws."""
+
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.Philox(0))
+        self._state = self.generator.bit_generator.state  # counter 0, empty buffer
+
+    def rekey(self, key):
+        self._state["state"]["key"] = key
+        self.generator.bit_generator.state = self._state
+        return self
+
+
+def _philox_keys(words):
+    """Philox keys, rows of two uint64, from four uint32 word arrays as
+    Philox reads ``generate_state(2, np.uint64)``."""
+    w = [word.astype(np.uint64) for word in words]
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
+
+
+class StreamTable:
+    """Every round's :class:`RoundStreams` for one run, derived
+    ``CHUNK_ROUNDS`` rounds at a time.
+
+    Round ``t`` draws exactly what ``RoundStreams.derive(master_seed, t)``
+    draws. A fill computes its rounds' select and server keys in one
+    vectorised pass, draws each round's participants (selection does not
+    depend on the iterate), then derives local keys for the selected
+    (round, client) pairs only. Streams come from pooled generators: one for
+    select, one for server and one per participant slot, re-keyed for each
+    round, so a round's streams are valid until the next call of
+    :meth:`round`.
+    """
+
+    def __init__(self, config):
+        self._config = config
+        seed = config.master_seed
+        # the master seed's words, padded to four as numpy pads them before a spawn key
+        self._seed_words = [seed & 0xFFFF_FFFF, seed >> 32, 0, 0]
+        self._select, self._server = _KeyedStream(), _KeyedStream()
+        self._slots = [_KeyedStream() for _ in range(config.participants)]
+        self._start = self._stop = 0
+
+    def _fill(self, start):
+        cfg = self._config
+        stop = min(start + CHUNK_ROUNDS, cfg.rounds)
+        count = stop - start
+        rounds = np.arange(start, stop, dtype=np.uint32)
+        tags = np.repeat(np.array([TAG_SELECT, TAG_SERVER], dtype=np.uint32), count)
+        keys = _philox_keys(seed_sequence_words(self._seed_words + [np.tile(rounds, 2), tags], 4))
+        self._select_keys, self._server_keys = keys[:count], keys[count:]
+        self._ids = [
+            sample_clients(cfg.clients, cfg.participants, self._select.rekey(key))
+            for key in self._select_keys
+        ]
+        pair_rounds = np.repeat(rounds, cfg.participants)
+        pair_ids = np.array(self._ids, dtype=np.uint32).ravel()
+        lo, hi = seed_sequence_words(self._seed_words + [pair_rounds, pair_ids], 2)
+        # RngStream(seed) hashes the seed's words alone; [lo] and [lo, 0] give one pool
+        self._local_keys = _philox_keys(seed_sequence_words([lo, hi], 4)).reshape(
+            count, cfg.participants, 2
+        )
+        self._seeds = (lo.astype(np.uint64) | hi.astype(np.uint64) << 32).reshape(count, -1)
+        self._start, self._stop = start, stop
+
+    def _row(self, t):
+        if not self._start <= t < self._stop:
+            self._fill(t)
+        return t - self._start
+
+    def round(self, t):
+        """Round ``t``'s streams, re-keying the pooled generators."""
+        i = self._row(t)
+        slots = dict(zip(self._ids[i], zip(self._slots, self._local_keys[i])))
+
+        def local_stream(cid):
+            slot, key = slots[cid]
+            return slot.rekey(key)
+
+        return RoundStreams(
+            select=self._select.rekey(self._select_keys[i]),
+            server=self._server.rekey(self._server_keys[i]),
+            local_stream=local_stream,
+        )
+
+    def stream_seeds(self, t):
+        """``{cid: derive_seed(master_seed, t, cid)}`` for round ``t``'s participants."""
+        i = self._row(t)
+        return dict(zip(self._ids[i], self._seeds[i].tolist()))
 
 
 def sample_clients(clients, participants, rng):
@@ -337,9 +439,10 @@ def run_rounds(system, config, x0, on_round, step=None):
     x = _as_point(system, x0, "x0").copy()
     if step is None:
         blocks = client_blocks(system, config.clients)
+        table = StreamTable(config)
 
         def step(t, x):
-            return fed_round(blocks, x, config, RoundStreams.derive(config.master_seed, t))
+            return fed_round(blocks, x, config, table.round(t))
 
     t = 0  # the round being run, numbered as its trace row
     with np.errstate(over="ignore"):

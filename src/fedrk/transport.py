@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import RngStream, SamplingScheme, derive_seed
+from .core import RngStream, SamplingScheme
 from .errors import (
     BadMagic,
     BadType,
@@ -42,7 +42,7 @@ from .errors import (
     Truncated,
 )
 from .federation import (
-    RoundStreams,
+    StreamTable,
     _client_failure,
     apply_server_round,
     client_blocks,
@@ -526,14 +526,15 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     else:
         raise ValueError(f"unknown transport {endpoint.transport!r}")
 
+    table = StreamTable(config)
+
     def step(t, x):
-        streams = RoundStreams.derive(config.master_seed, t)
+        streams = table.round(t)
         participants = sample_clients(config.clients, config.participants, streams.select)
+        seeds = table.stream_seeds(t)
         tol = round_tol(x)  # before the broadcast, as in fed_round
         for cid in participants:
-            conns[cid].send(Broadcast(
-                t, x, config.local_iters, derive_seed(config.master_seed, t, cid)
-            ))
+            conns[cid].send(Broadcast(t, x, config.local_iters, seeds[cid]))
         deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
         x_next, kept = apply_server_round(deltas, x, config, streams.server, tol)
         return x_next, participants, len(deltas) - len(kept)

@@ -136,6 +136,19 @@ def test_tcp_input_is_config_error_before_any_socket(
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("clients", "4294967295", "clients must be <= 4294967294"),
+    ("rounds", "4294967297", "rounds must satisfy 0 <= rounds <= 2**32"),
+])
+def test_counts_beyond_the_stream_words_are_config_errors(
+    option, value, message, small_problem, tmp_path, capsys
+):
+    a_path, b_path = small_problem
+    args = solve_args(a_path, b_path, tmp_path / "trace.csv", **{option: value})
+    assert main(args) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_nan_residual_tol_is_config_error(small_problem, tmp_path, capsys):
     a_path, b_path = small_problem
     args = solve_args(a_path, b_path, tmp_path / "trace.csv", residual_tol="nan")

@@ -1,5 +1,9 @@
 """Tests for the dense kernels: projection step, thresholding, sampling, RNG."""
 
+import os
+import struct
+import threading
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +28,7 @@ from fedrk.core import (
     save_dmat,
     save_matrix_csv,
     save_vector_csv,
+    seed_sequence_words,
 )
 from fedrk.errors import AllRowsZero, DimensionMismatch, ZeroRow
 
@@ -282,6 +287,17 @@ def test_derive_seed_stable_and_distinct():
     assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+def test_seed_sequence_words_one_word_seed_equals_numpy(seed):
+    # with no spawn key numpy hashes [seed] and [seed, 0] into one pool, so
+    # a seed below 2**32 may always be given as two words
+    assert np.array_equal(
+        np.random.SeedSequence(seed).pool, np.random.SeedSequence([seed, 0]).pool
+    )
+    words = seed_sequence_words([np.array([seed], np.uint32), np.zeros(1, np.uint32)], 4)
+    assert [int(w[0]) for w in words] == np.random.SeedSequence(seed).generate_state(4).tolist()
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
@@ -328,6 +344,35 @@ def test_dmat_rejects_corruption(tmp_path):
     (tmp_path / "short.dmat").write_bytes(raw[:-8])
     with pytest.raises(ValueError):
         load_dmat(tmp_path / "short.dmat")
+
+
+def test_dmat_longer_than_its_header_is_refused_unread(tmp_path):
+    path = tmp_path / "long.dmat"
+    save_dmat(path, np.ones((2, 2)))
+    with open(path, "r+b") as fh:
+        fh.truncate(12 + 32 + 64 * 2**20)  # 64 MB of trailing bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"expected 32 data bytes, got {32 + 64 * 2**20}"):
+            load_dmat(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_dmat_from_a_pipe_is_refused(tmp_path):
+    # a pipe's size is unknown, so its body could not be bounded before reading
+    path = tmp_path / "pipe.dmat"
+    os.mkfifo(path)
+    header = struct.pack("<4sII", b"DMAT", 2, 2)
+    writer = threading.Thread(target=path.write_bytes, args=(header + bytes(32),))
+    writer.start()
+    try:
+        with pytest.raises(ValueError, match="a DMAT must be a regular file"):
+            load_dmat(path)
+    finally:
+        writer.join()
 
 
 def test_csv_rejects_ragged_rows(tmp_path):

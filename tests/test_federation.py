@@ -1,13 +1,19 @@
 """Tests for round orchestration: partitioning, local updates, server solve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedrk.core import RngStream, SamplingScheme
 from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients, ZeroRow
 from fedrk.federation import (
+    CHUNK_ROUNDS,
+    TAG_SELECT,
+    TAG_SERVER,
     RoundStreams,
     RunConfig,
+    StreamTable,
     apply_server_round,
     build_server_system,
     client_blocks,
@@ -17,6 +23,7 @@ from fedrk.federation import (
     round_tol,
     run_rounds,
     sample_clients,
+    trace_writer,
 )
 from fedrk.solver import LinearSystem
 from harness import gaussian_consistent
@@ -556,8 +563,108 @@ def test_fed_run_with_sparsity_matches_thresholded_dynamics():
 
 
 # ---------------------------------------------------------------------------
+# stream table
+# ---------------------------------------------------------------------------
+
+def _numpy_key(entropy, spawn_key=()):
+    """The Philox key numpy's own SeedSequence gives ``RngStream(entropy, spawn_key)``."""
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return seq.generate_state(2, np.uint64).tolist()
+
+
+def _key(stream):
+    return stream.generator.bit_generator.state["state"]["key"].tolist()
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stream_table_equals_numpy_seed_sequence(master_seed):
+    # one-word and two-word master seeds; the last round index u32 holds
+    table = StreamTable(config(clients=16, participants=5, rounds=2**32, master_seed=master_seed))
+    for t in (0, 1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, 2**32 - 1):
+        streams = table.round(t)
+        assert _key(streams.select) == _numpy_key(master_seed, (t, TAG_SELECT))
+        assert _key(streams.server) == _numpy_key(master_seed, (t, TAG_SERVER))
+        seeds = table.stream_seeds(t)
+        assert list(seeds) == sample_clients(16, 5, RngStream(master_seed, (t, TAG_SELECT)))
+        for cid, seed in seeds.items():
+            seq = np.random.SeedSequence(master_seed, spawn_key=(t, cid))
+            assert seed == int(seq.generate_state(1, np.uint64)[0])
+            assert _key(streams.local_stream(cid)) == _numpy_key(seed)
+
+
+def test_stream_table_generators_draw_what_fresh_streams_draw():
+    cfg = config(clients=16, participants=5, rounds=3, master_seed=2**64 - 1)
+    table = StreamTable(cfg)
+    for draw in (lambda g: g.random(7), lambda g: g.choice(16, 5, replace=False)):
+        streams = table.round(2)
+        fresh = RoundStreams.derive(cfg.master_seed, 2)
+        for cid in table.stream_seeds(2):
+            assert np.array_equal(draw(streams.local_stream(cid).generator),
+                                  draw(fresh.local_stream(cid).generator))
+        assert np.array_equal(draw(streams.select.generator), draw(fresh.select.generator))
+        assert np.array_equal(draw(streams.server.generator), draw(fresh.server.generator))
+
+
+def _derived_run(system, cfg, x0):
+    """A run whose every round takes its streams from RoundStreams.derive."""
+    blocks = client_blocks(system, cfg.clients)
+    trace, on_round = trace_writer(system, cfg)
+
+    def step(t, x):
+        return fed_round(blocks, x, cfg, RoundStreams.derive(cfg.master_seed, t))
+
+    return run_rounds(system, cfg, x0, on_round, step), trace
+
+
+@pytest.mark.parametrize("clients, participants, master_seed, stop_mid_chunk", [
+    (4, 2, 5, False),
+    (4, 2, 6, True),
+    (4, 4, 7, False),
+    (4, 1, 8, False),
+    (1, 1, 9, False),
+    (4, 2, 2**64 - 1, False),
+])
+@pytest.mark.parametrize("run", [fed_run, _run_server_loopback], ids=["fed_run", "loopback"])
+def test_stream_table_keeps_the_bits_across_chunks_and_early_stops(
+    run, clients, participants, master_seed, stop_mid_chunk
+):
+    system, _ = gaussian_consistent(16, 6, 73)
+    cfg = config(
+        clients=clients, participants=participants, local_iters=3, global_iters=3,
+        rounds=2 * CHUNK_ROUNDS + 3, master_seed=master_seed,
+    )
+    x0 = np.ones(6)
+    if stop_mid_chunk:
+        _, full = _derived_run(system, cfg, x0)
+        stop = CHUNK_ROUNDS + CHUNK_ROUNDS // 2
+        cfg = replace(cfg, residual_tol=full.residuals[stop])
+    expected_x, expected = _derived_run(system, cfg, x0)
+    x, trace = run(system, cfg, x0)
+    assert np.array_equal(x, expected_x)
+    assert trace.csv_text() == expected.csv_text()
+    rounds_run = trace.rounds[-1]
+    if stop_mid_chunk:
+        assert trace.stopped_early and CHUNK_ROUNDS < rounds_run <= stop
+        assert rounds_run % CHUNK_ROUNDS != 0
+    else:
+        assert rounds_run == 2 * CHUNK_ROUNDS + 3
+
+
+# ---------------------------------------------------------------------------
 # RunConfig validation
 # ---------------------------------------------------------------------------
+
+def test_run_config_refuses_client_ids_at_the_stream_tags():
+    RunConfig(clients=TAG_SERVER, participants=1, local_iters=1, global_iters=1, rounds=1)
+    with pytest.raises(ValueError, match="clients must be <= 4294967294"):
+        RunConfig(clients=TAG_SERVER + 1, participants=1, local_iters=1, global_iters=1, rounds=1)
+
+
+def test_run_config_refuses_round_indices_beyond_u32():
+    RunConfig(clients=1, participants=1, local_iters=1, global_iters=1, rounds=2**32)
+    with pytest.raises(ValueError, match=r"rounds must satisfy 0 <= rounds <= 2\*\*32"):
+        RunConfig(clients=1, participants=1, local_iters=1, global_iters=1, rounds=2**32 + 1)
+
 
 def test_run_config_rejects_bad_values():
     with pytest.raises(ValueError):
