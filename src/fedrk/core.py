@@ -19,7 +19,6 @@ from .errors import AllRowsZero, DimensionMismatch, ZeroRow
 __all__ = [
     "as_vector",
     "as_matrix",
-    "zero_row_tol",
     "row_norms_sq",
     "RngStream",
     "derive_seed",
@@ -66,11 +65,6 @@ def as_matrix(data, name="matrix"):
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def zero_row_tol(x_norm):
-    """Scale-aware threshold below which a row/update counts as zero."""
-    return 1e-12 * (1.0 + x_norm)
 
 
 def row_norms_sq(matrix):
@@ -223,8 +217,7 @@ def rk_step(a, b_j, x):
     if a.size != x.size:
         raise DimensionMismatch(f"row has dim {a.size}, x has dim {x.size}")
     norm_sq = float(np.dot(a, a))
-    tol = zero_row_tol(float(np.linalg.norm(x)))
-    if norm_sq <= tol * tol:
+    if norm_sq == 0.0:  # a single row is its own block: only exact zero is zero
         raise ZeroRow("cannot project onto a numerically zero row")
     return x + ((float(b_j) - float(np.dot(a, x))) / norm_sq) * a
 

@@ -23,7 +23,6 @@ from .core import (
     hard_threshold,
     row_norms_sq,
     seed_sequence_words,
-    zero_row_tol,
 )
 from .errors import (
     AllRowsZero,
@@ -137,8 +136,9 @@ class ServerRoundSystem(NamedTuple):
         return not self.delta_rows
 
     def kaczmarz_setup(self, scheme):
-        """The set-up :func:`rk_iterate` reads; the build computed all but the CDF."""
-        return self.delta_rows, self.d, self.row_sq, scheme.cdf(np.array(self.row_sq))
+        """The set-up :func:`rk_iterate` reads; the build computed all but the
+        CDF. It marks no row as zero: every row is a change the build kept."""
+        return self.delta_rows, self.d, self.row_sq, scheme.cdf(np.array(self.row_sq)), None
 
     def dual_setup(self):
         """``(rows, d, Gram matrix)`` for the dual kernel of :func:`rk_iterate`."""
@@ -299,15 +299,16 @@ def sample_clients(clients, participants, rng):
 
 
 def round_tol(x_global):
-    """Norm at or below which a model change or row counts as zero in a round."""
-    tol = zero_row_tol(math.sqrt(float(np.dot(x_global, x_global))))
+    """Norm at or below which a model change counts as zero in a round: a
+    change is measured against the iterate it was made from."""
+    tol = 1e-12 * math.sqrt(float(np.dot(x_global, x_global)))
     if not math.isfinite(tol):
         raise NumericalError("the iterate's squared norm overflows")
     return tol
 
 
-def _local_delta(block, x_global, local_iters, scheme, rng, dead_tol_sq):
-    x_local = rk_iterate(block, x_global.copy(), dead_tol_sq, local_iters, scheme, rng)
+def _local_delta(block, x_global, local_iters, scheme, rng):
+    x_local = rk_iterate(block, x_global.copy(), iters=local_iters, scheme=scheme, rng=rng)
     x_local -= x_global
     return x_local
 
@@ -317,7 +318,7 @@ def client_local_update(block, x_global, local_iters, scheme, rng):
     x_global = _as_point(block, x_global, "x_global")
     if local_iters < 1:
         raise ValueError("local_iters must be >= 1")
-    return _local_delta(block, x_global, local_iters, scheme, rng, round_tol(x_global) ** 2)
+    return _local_delta(block, x_global, local_iters, scheme, rng)
 
 
 def _client_failure(cid, exc, round_index=None):
@@ -356,20 +357,21 @@ def build_server_system(deltas, x_global, tol):
     return ServerRoundSystem(rows, d, row_sq, tuple(kept_ids))
 
 
-def _server_rk(srs, x_global, global_iters, rng, dead_tol_sq):
+def _server_rk(srs, x_global, global_iters, rng):
     if srs.is_empty:
         return x_global.copy()
-    return rk_iterate(srs, x_global.copy(), dead_tol_sq, global_iters, _UNIFORM, rng)
+    return rk_iterate(srs, x_global.copy(), iters=global_iters, scheme=_UNIFORM, rng=rng)
 
 
-def apply_server_round(deltas, x_global, config, server_rng, tol):
+def apply_server_round(deltas, x_global, config, server_rng):
     """Server half of a round: build the derived system, solve, threshold.
 
-    ``tol`` is :func:`round_tol` of ``x_global``. Returns the next global
-    iterate (NumericalError if it is not finite) and the kept client ids.
+    The build drops changes at or below :func:`round_tol` of ``x_global``.
+    Returns the next global iterate (NumericalError if it is not finite)
+    and the kept client ids.
     """
-    srs = build_server_system(deltas, x_global, tol)
-    x_next = _server_rk(srs, x_global, config.global_iters, server_rng, tol * tol)
+    srs = build_server_system(deltas, x_global, round_tol(x_global))
+    x_next = _server_rk(srs, x_global, config.global_iters, server_rng)
     if not np.isfinite(x_next).all():
         raise NumericalError("the server iterate is not finite")
     if config.sparsity is not None:
@@ -386,18 +388,17 @@ def fed_round(blocks, x_global, config, streams):
     for piecemeal validated calls.
     """
     participants = sample_clients(config.clients, config.participants, streams.select)
-    tol = round_tol(x_global)
     deltas = []
     for cid in participants:
         try:
             delta = _local_delta(
                 blocks[cid], x_global, config.local_iters,
-                config.local_scheme, streams.local_stream(cid), tol * tol,
+                config.local_scheme, streams.local_stream(cid),
             )
         except FedRKError as exc:
             raise _client_failure(cid, exc) from exc
         deltas.append((cid, delta))
-    x_next, kept = apply_server_round(deltas, x_global, config, streams.server, tol)
+    x_next, kept = apply_server_round(deltas, x_global, config, streams.server)
     return x_next, participants, len(deltas) - len(kept)
 
 

@@ -12,7 +12,6 @@ from .core import (
     as_vector,
     row_norms_sq,
     sample_rows,
-    zero_row_tol,
 )
 from .errors import AllRowsZero, DimensionMismatch, WeightError, ZeroRow
 
@@ -50,16 +49,21 @@ class LinearSystem:
             )
         if not np.any(row_sq > 0.0):
             raise AllRowsZero("system needs at least one row with positive norm")
+        # a row is zero relative to the largest row of its block, so scaling
+        # the block does not change which rows are zero
+        zero_rows = row_sq <= 1e-24 * row_sq.max()
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "row_sq", row_sq)
+        object.__setattr__(self, "zero_rows", zero_rows if zero_rows.any() else None)
         object.__setattr__(self, "_setups", {})
 
     def kaczmarz_setup(self, scheme):
-        """``(rows, b list, row_sq list, CDF)`` for :func:`rk_iterate`, once per scheme."""
+        """``(rows, b list, row_sq list, CDF, zero-row mask or None)`` for
+        :func:`rk_iterate`, once per scheme."""
         if scheme not in self._setups:
             lists = list(self.A), self.b.tolist(), self.row_sq.tolist()
-            self._setups[scheme] = (*lists, scheme.cdf(self.row_sq))
+            self._setups[scheme] = (*lists, scheme.cdf(self.row_sq), self.zero_rows)
         return self._setups[scheme]
 
     @cached_property
@@ -104,29 +108,35 @@ _LOWER = np.tri(_CHUNK)
 
 
 def _sampled_rows(setup, iters, rng):
-    """A run's row indices: one draw of ``iters`` uniforms on ``rng``."""
+    """A run's row indices: one draw of ``iters`` uniforms on ``rng``.
+
+    Raises ZeroRow naming the first sampled row that the set-up's mask
+    marks as zero.
+    """
     if len(setup[0]) == 1:
         # every draw lands on row 0; skip the stream entirely
         return np.zeros(iters, dtype=np.intp)
-    return sample_rows(setup[3], rng, iters)
+    indices = sample_rows(setup[3], rng, iters)
+    if setup[4] is not None:
+        zero = setup[4][indices]
+        if zero.any():
+            raise ZeroRow(f"sampled row {indices[zero.argmax()]} is numerically zero")
+    return indices
 
 
-def _rk_sequential(setup, x, dead_tol, indices):
+def _rk_sequential(setup, x, indices):
     """One projection per sampled row, in order: the reference kernel."""
-    rows, b_list, sq_list, _ = setup
+    rows, b_list, sq_list, *_ = setup
     tmp = np.empty_like(x)
     mul, add = np.multiply, np.add
     for j in indices.tolist():
-        sq = sq_list[j]
-        if sq <= dead_tol:
-            raise ZeroRow(f"sampled row {j} is numerically zero")
         aj = rows[j]
-        mul(aj, (b_list[j] - aj.dot(x)) / sq, out=tmp)
+        mul(aj, (b_list[j] - aj.dot(x)) / sq_list[j], out=tmp)
         add(x, tmp, out=x)
     return x
 
 
-def _rk_dual(system, x, dead_tol, indices):
+def _rk_dual(system, x, indices):
     """The same projections as coordinate descent on x = x0 + Aᵀc.
 
     Keeps the residual r = b - A x. The steps of a chunk J of sampled rows
@@ -135,9 +145,6 @@ def _rk_dual(system, x, dead_tol, indices):
     solve or elsewhere, leaves x non-finite without a warning.
     """
     A, b, G = system.dual_setup()
-    dead = G.diagonal()[indices] <= dead_tol
-    if dead.any():
-        raise ZeroRow(f"sampled row {indices[dead.argmax()]} is numerically zero")
     steps = np.empty(indices.size)
     with np.errstate(over="ignore", invalid="ignore"):
         r = b - A @ x
@@ -152,21 +159,22 @@ def _rk_dual(system, x, dead_tol, indices):
     return x
 
 
-def rk_iterate(system, x, dead_tol, iters, scheme, rng):
+def rk_iterate(system, x, *, iters, scheme, rng):
     """Unvalidated RK run on ``system``; mutates and returns ``x``.
 
-    ``dead_tol`` is compared against squared row norms. All of the run's
-    row indices are drawn up front, in one call on ``rng``. A run of at
-    least 32 steps on a block with no more rows than steps or columns goes
-    to the dual kernel, whose Gram matrix is then no larger than the block
-    and paid for by the run; it agrees with the sequential kernel of
-    :func:`rk_run` to rounding. Every other run is that sequential kernel.
+    All of the run's row indices are drawn up front, in one call on
+    ``rng``; a sampled row that the set-up marks as zero raises ZeroRow. A
+    run of at least 32 steps on a block with no more rows than steps or
+    columns goes to the dual kernel, whose Gram matrix is then no larger
+    than the block and paid for by the run; it agrees with the sequential
+    kernel of :func:`rk_run` to rounding. Every other run is that
+    sequential kernel.
     """
     setup = system.kaczmarz_setup(scheme)
     indices = _sampled_rows(setup, iters, rng)
     if iters >= _CHUNK and len(setup[0]) <= min(iters, x.size):
-        return _rk_dual(system, x, dead_tol, indices)
-    return _rk_sequential(setup, x, dead_tol, indices)
+        return _rk_dual(system, x, indices)
+    return _rk_sequential(setup, x, indices)
 
 
 def rk_run(system, x0, iters, scheme, rng, x_ref=None):
@@ -183,7 +191,6 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None):
     if x_ref is not None:
         x_ref = _as_point(system, x_ref, "x_ref")
 
-    dead_tol = zero_row_tol(float(np.linalg.norm(x))) ** 2
     setup = system.kaczmarz_setup(scheme)
     indices = _sampled_rows(setup, iters, rng)
 
@@ -194,7 +201,7 @@ def rk_run(system, x0, iters, scheme, rng, x_ref=None):
 
     values = [current_value(x)]
     for k in range(iters):
-        _rk_sequential(setup, x, dead_tol, indices[k:k + 1])
+        _rk_sequential(setup, x, indices[k:k + 1])
         values.append(current_value(x))
     return x, np.array(values)
 

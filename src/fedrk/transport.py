@@ -47,7 +47,6 @@ from .federation import (
     apply_server_round,
     client_blocks,
     client_local_update,
-    round_tol,
     run_rounds,
     sample_clients,
     trace_writer,
@@ -532,11 +531,10 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
         streams = table.round(t)
         participants = sample_clients(config.clients, config.participants, streams.select)
         seeds = table.stream_seeds(t)
-        tol = round_tol(x)  # before the broadcast, as in fed_round
         for cid in participants:
             conns[cid].send(Broadcast(t, x, config.local_iters, seeds[cid]))
         deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
-        x_next, kept = apply_server_round(deltas, x, config, streams.server, tol)
+        x_next, kept = apply_server_round(deltas, x, config, streams.server)
         return x_next, participants, len(deltas) - len(kept)
 
     try:

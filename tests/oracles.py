@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from fedrk.core import as_vector, zero_row_tol
+from fedrk.core import as_vector
 
 # singular values below RCOND * largest are treated as zero in direct solves
 RCOND = 1e-10
@@ -61,7 +61,7 @@ def expected_update(blocks, x, participants):
     if n_subsets > _MAX_SUBSETS:
         raise TooManySubsets(f"{n_subsets} subsets exceed the enumeration cap")
 
-    tol = zero_row_tol(float(np.linalg.norm(x)))
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(x)))  # a block already holding x is skipped
     active = []
     projected = []
     for blk in blocks:

@@ -20,7 +20,6 @@ from fedrk.federation import (
     client_local_update,
     fed_round,
     fed_run,
-    round_tol,
     run_rounds,
     sample_clients,
     trace_writer,
@@ -222,9 +221,7 @@ def test_apply_server_round_rejects_non_finite_iterate(monkeypatch):
     monkeypatch.setattr(federation, "_server_rk", lambda *args: np.array([np.inf, 0.0]))
     x = np.array([1.0, 2.0])
     with pytest.raises(NumericalError) as err:
-        federation.apply_server_round(
-            [(0, np.ones(2))], x, config(sparsity=1), RngStream(0), federation.round_tol(x)
-        )
+        federation.apply_server_round([(0, np.ones(2))], x, config(sparsity=1), RngStream(0))
     assert err.value.client_id is None
 
 
@@ -291,9 +288,8 @@ def test_apply_server_round_arrival_order_independent():
     x = g.standard_normal(4)
     deltas = [(cid, g.standard_normal(4)) for cid in range(3)]
     cfg = config(clients=3, participants=3, global_iters=6)
-    tol = round_tol(x)
-    forward, kept_a = apply_server_round(list(deltas), x, cfg, RngStream(1, (0,)), tol)
-    backward, kept_b = apply_server_round(deltas[::-1], x, cfg, RngStream(1, (0,)), tol)
+    forward, kept_a = apply_server_round(list(deltas), x, cfg, RngStream(1, (0,)))
+    backward, kept_b = apply_server_round(deltas[::-1], x, cfg, RngStream(1, (0,)))
     assert np.array_equal(forward, backward)
     assert kept_a == kept_b
 
@@ -304,10 +300,21 @@ def test_apply_server_round_arrival_order_independent():
 
 def test_server_solve_empty_is_identity():
     x = np.array([3.0, -1.0])
-    out, kept = apply_server_round([], x, config(global_iters=10), RngStream(0), round_tol(x))
+    out, kept = apply_server_round([], x, config(global_iters=10), RngStream(0))
     assert kept == ()
     assert np.array_equal(out, x)
     assert out is not x
+
+
+def test_server_keeps_a_small_change_against_a_small_iterate():
+    # a change is zero only against the iterate it was made from: at
+    # ||x|| = 1e-3 a change of norm 1e-14 is kept, and the derived system
+    # marks no row as zero although its rows' squared norms differ by 1e28
+    x = np.array([1e-3, 0.0])
+    deltas = [(0, np.array([0.0, 1.0])), (1, np.array([0.0, 1e-14]))]
+    out, kept = apply_server_round(deltas, x, config(global_iters=40), RngStream(3))
+    assert kept == (0, 1)
+    assert np.isfinite(out).all()
 
 
 def test_server_solve_single_row_one_step_recovers_delta():
@@ -317,7 +324,7 @@ def test_server_solve_single_row_one_step_recovers_delta():
         n = int(g.integers(2, 12))
         x = g.standard_normal(n) * g.choice([0.1, 1.0, 100.0])
         delta = g.standard_normal(n)
-        out, _ = apply_server_round([(0, delta)], x, config(global_iters=1), RngStream(1), 0.0)
+        out, _ = apply_server_round([(0, delta)], x, config(global_iters=1), RngStream(1))
         tol = 1e-12 * (1.0 + np.linalg.norm(x))
         assert np.max(np.abs(out - (x + delta))) <= tol
 
@@ -326,7 +333,7 @@ def test_server_solve_orthogonal_rows_reach_intersection():
     x = np.array([5.0, -3.0])
     deltas = [(0, np.array([2.0, 0.0])), (1, np.array([0.0, 1.5]))]
     srs = build_server_system(deltas, x, 1e-12)
-    out, kept = apply_server_round(deltas, x, config(global_iters=60), RngStream(5), 1e-12)
+    out, kept = apply_server_round(deltas, x, config(global_iters=60), RngStream(5))
     assert kept == (0, 1)
     # hyperplanes 2 x1 = d0 and 1.5 x2 = d1 intersect at the joint solution
     expected = np.array([srs.d[0] / 2.0, srs.d[1] / 1.5])
@@ -508,23 +515,40 @@ def test_fed_run_zero_delta_round_is_fixed_point_dual_kernel():
     test_fed_run_zero_delta_round_is_fixed_point((10, 40, 40))
 
 
-def test_fed_run_scale_equivariance_exact_power_of_two(shape=(12, 4, 10)):
+# (k, mode, start): "b" scales b and x0 by 2^k, so the iterate scales too.
+# "Ab" scales A and b and leaves x0 and the iterate unscaled; it runs for
+# k <= 1 only, since scaling rows up cannot make a row or a change look zero
+power_of_two_scalings = pytest.mark.parametrize("k, mode, start", [
+    (k, mode, start)
+    for k in (1, -60, -44, -40, 40, 60)
+    for mode in ("b", "Ab")
+    for start in ("ramp", "zero")
+    if mode == "b" or k < 40
+])
+
+
+@power_of_two_scalings
+def test_fed_run_scale_equivariance_exact_power_of_two(k, mode, start, shape=(12, 4, 10)):
     rows, cols, iters = shape
     system, _ = gaussian_consistent(rows, cols, 59)
-    scaled = LinearSystem(system.A, 2.0 * system.b)
+    c = 2.0 ** k
+    a_scale, x_scale = (1.0, c) if mode == "b" else (c, 1.0)
+    scaled = LinearSystem(a_scale * system.A, c * system.b)
     cfg = config(
         clients=3, participants=2, rounds=8, master_seed=5,
         local_iters=iters, global_iters=iters,
     )
-    x0 = np.arange(1.0, cols + 1.0)
+    x0 = np.arange(1.0, cols + 1.0) if start == "ramp" else np.zeros(cols)
     x1, t1 = fed_run(system, cfg, x0)
-    x2, t2 = fed_run(scaled, cfg, 2.0 * x0)
-    assert np.array_equal(2.0 * x1, x2)
-    assert np.array_equal(2.0 * np.array(t1.residuals), np.array(t2.residuals))
+    x2, t2 = fed_run(scaled, cfg, x_scale * x0)
+    assert np.array_equal(x_scale * x1, x2)
+    assert np.array_equal(c * np.array(t1.residuals), np.array(t2.residuals))
+    assert t1.dropped == t2.dropped
 
 
-def test_fed_run_scale_equivariance_exact_power_of_two_dual_kernel():
-    test_fed_run_scale_equivariance_exact_power_of_two((12, 40, 40))
+@power_of_two_scalings
+def test_fed_run_scale_equivariance_exact_power_of_two_dual_kernel(k, mode, start):
+    test_fed_run_scale_equivariance_exact_power_of_two(k, mode, start, (12, 40, 40))
 
 
 def test_fed_run_scale_equivariance_general():

@@ -53,6 +53,19 @@ def small_run():
     return system, config
 
 
+def test_traced_run_labels_client_and_server_runs():
+    # the tracer reads rk_iterate's iters and scheme to count and label steps
+    t = tracer.Tracer()
+    t.install()
+    try:
+        system, config = small_run()
+        fed_run(system, config, np.zeros(system.cols))
+    finally:
+        t.uninstall()
+    assert t.counters["solver.rk_iterate.client.steps"] == 3 * 2 * 4
+    assert t.counters["solver.rk_iterate.server.steps"] == 3 * 4
+
+
 @pytest.mark.parametrize("module_name, attr, run", [
     ("fedrk.federation", "fed_round", lambda s, c: fed_run(s, c, np.zeros(s.cols))),
     ("fedrk.transport", "sample_clients", lambda s, c: run_server(Endpoint.loopback(), s, c)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fedrk.solver as solver
-from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq, zero_row_tol
+from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq
 from fedrk.errors import DimensionMismatch, WeightError, ZeroRow
 from fedrk.federation import build_server_system
 from fedrk.solver import (
@@ -131,19 +131,20 @@ def test_rk_run_dimension_mismatch():
 # rk_iterate: the dual kernel against the sequential one
 # ---------------------------------------------------------------------------
 
-def sequential_kernel(system, x, dead_tol, iters, scheme, rng):
+def sequential_kernel(system, x, *, iters, scheme, rng):
     """rk_iterate without its choice of kernel: always the sequential one."""
     setup = system.kaczmarz_setup(scheme)
     indices = solver._sampled_rows(setup, iters, rng)
-    return solver._rk_sequential(setup, x, dead_tol, indices)
+    return solver._rk_sequential(setup, x, indices)
 
 
 def both_kernels(system, x0, iters, scheme, seed):
     """rk_iterate's own choice of kernel, and its sequential kernel, on the
     same stream."""
-    dead_tol = zero_row_tol(float(np.linalg.norm(x0))) ** 2
-    chosen = rk_iterate(system, x0.copy(), dead_tol, iters, scheme, RngStream(seed))
-    sequential = sequential_kernel(system, x0.copy(), dead_tol, iters, scheme, RngStream(seed))
+    chosen = rk_iterate(system, x0.copy(), iters=iters, scheme=scheme, rng=RngStream(seed))
+    sequential = sequential_kernel(
+        system, x0.copy(), iters=iters, scheme=scheme, rng=RngStream(seed)
+    )
     return chosen, sequential
 
 
@@ -213,11 +214,10 @@ def test_rk_run_is_the_sequential_kernel_on_dual_shapes(with_ref):
 def test_dual_kernel_consumes_the_same_draws():
     # shared-stream rounds depend on the next draw after a local run
     system, _ = gaussian_consistent(10, 100, 13)
-    dead_tol = zero_row_tol(0.0) ** 2
     nexts = []
     for kernel in (rk_iterate, sequential_kernel):
         stream = RngStream(99)
-        kernel(system, np.zeros(100), dead_tol, 70, SQNORM, stream)
+        kernel(system, np.zeros(100), iters=70, scheme=SQNORM, rng=stream)
         nexts.append(stream.generator.random())
     assert nexts[0] == nexts[1]
 
@@ -232,7 +232,7 @@ def test_zero_row_has_the_same_message_in_both_kernels():
         messages = []
         for kernel in (rk_iterate, sequential_kernel):
             with pytest.raises(ZeroRow) as err:
-                kernel(system, np.zeros(4), 1e-24, 64, UNIFORM, RngStream(seed))
+                kernel(system, np.zeros(4), iters=64, scheme=UNIFORM, rng=RngStream(seed))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         named.add(messages[0])

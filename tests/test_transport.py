@@ -17,7 +17,6 @@ from fedrk.errors import (
     CodecError,
     ConnectionLost,
     LengthMismatch,
-    NumericalError,
     RoundError,
     Truncated,
 )
@@ -278,14 +277,15 @@ def test_client_session_requires_partition_before_broadcast():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_client_session_overflowing_iterate_is_a_numerical_error():
-    # ||x||^2 overflows: the error names the round and this client, not a row
+def test_client_session_replies_to_an_iterate_whose_squared_norm_overflows():
+    # a client does not measure ||x||: the server's half refuses such an
+    # iterate once the deltas are in
     session = ClientSession(0)
     session.handle(AssignPartition(0, np.ones((2, 3)), np.ones(2)))
-    with pytest.raises(NumericalError) as err:
-        session.handle(Broadcast(0, 1e200 * np.ones(3), 4, 7))
-    assert (err.value.client_id, err.value.round_index) == (0, 1)
-    assert str(err.value) == "round 1: client 0 failed: the iterate's squared norm overflows"
+    (reply,) = session.handle(Broadcast(0, 1e200 * np.ones(3), 4, 7))
+    assert isinstance(reply, Delta)
+    assert (reply.round_index, reply.client_id) == (0, 0)
+    assert np.isfinite(reply.delta).all()
 
 
 def test_client_session_invalid_broadcast_names_client_and_round():
