@@ -7,7 +7,6 @@ from .core import (
     as_vector,
     derive_seed,
     hard_threshold,
-    rk_step,
     sample_rows,
 )
 from .errors import FedRKError
@@ -22,13 +21,7 @@ from .federation import (
     fed_run,
     sample_clients,
 )
-from .solver import (
-    LinearSystem,
-    contraction_factor,
-    decay_functional,
-    fit_decay_rate,
-    rk_run,
-)
+from .solver import LinearSystem
 from .transport import Endpoint, decode, encode, run_client, run_server
 
 __version__ = "0.1.0"
@@ -40,7 +33,6 @@ __all__ = [
     "as_vector",
     "derive_seed",
     "hard_threshold",
-    "rk_step",
     "sample_rows",
     "FedRKError",
     "FedTrace",
@@ -53,10 +45,6 @@ __all__ = [
     "fed_run",
     "sample_clients",
     "LinearSystem",
-    "contraction_factor",
-    "decay_functional",
-    "fit_decay_rate",
-    "rk_run",
     "Endpoint",
     "decode",
     "encode",

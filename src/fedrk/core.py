@@ -2,8 +2,8 @@
 
 Vectors and matrices are plain float64 numpy arrays; :func:`as_vector` and
 :func:`as_matrix` are the validating constructors that enforce finiteness and
-shape. Row sampling, the Kaczmarz projection step, hard thresholding, seeded
-random streams and the matrix file formats all live here.
+shape. Row sampling, hard thresholding, seeded random streams and the
+matrix file formats all live here.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllRowsZero, DimensionMismatch, ZeroRow
+from .errors import AllRowsZero
 
 __all__ = [
     "as_vector",
@@ -24,14 +24,11 @@ __all__ = [
     "derive_seed",
     "seed_sequence_words",
     "SamplingScheme",
-    "rk_step",
     "hard_threshold",
     "sample_rows",
     "format_csv",
-    "save_matrix_csv",
     "load_matrix_csv",
     "save_vector_csv",
-    "save_dmat",
     "load_dmat",
     "load_matrix",
     "load_vector",
@@ -62,7 +59,8 @@ def as_matrix(data, name="matrix"):
         raise ValueError(f"{name} must have at least one row")
     if m.shape[1] < 1:
         raise ValueError(f"{name} must have at least one column")
-    if not np.isfinite(m).all():
+    # NaN reaches both reductions, +inf the max, -inf the min; no m-sized temporary
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -210,18 +208,6 @@ class SamplingScheme:
         return cdf
 
 
-def rk_step(a, b_j, x):
-    """One Kaczmarz projection of ``x`` onto the hyperplane <a, .> = b_j."""
-    a = as_vector(a, name="row")
-    x = as_vector(x, name="x")
-    if a.size != x.size:
-        raise DimensionMismatch(f"row has dim {a.size}, x has dim {x.size}")
-    norm_sq = float(np.dot(a, a))
-    if norm_sq == 0.0:  # a single row is its own block: only exact zero is zero
-        raise ZeroRow("cannot project onto a numerically zero row")
-    return x + ((float(b_j) - float(np.dot(a, x))) / norm_sq) * a
-
-
 def hard_threshold(x, s):
     """Keep the ``s`` largest-magnitude entries of ``x``, zero the rest.
 
@@ -275,11 +261,6 @@ def format_csv(rows, header=None):
     return "".join(line + "\n" for line in lines)
 
 
-def save_matrix_csv(path, matrix):
-    with open(path, "w") as fh:
-        fh.write(format_csv(as_matrix(matrix)))
-
-
 def load_matrix_csv(path):
     rows = []
     with open(path) as fh:
@@ -299,14 +280,6 @@ def load_matrix_csv(path):
 def save_vector_csv(path, vector):
     with open(path, "w") as fh:
         fh.write(format_csv(as_vector(vector)[:, None]))
-
-
-def save_dmat(path, matrix):
-    m = as_matrix(matrix)
-    rows, cols = m.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", _DMAT_MAGIC, rows, cols))
-        fh.write(m.astype("<f8", copy=False).tobytes())
 
 
 def load_dmat(path):

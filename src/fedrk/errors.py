@@ -23,10 +23,6 @@ class AllRowsZero(ZeroRow, ValueError):
     pass
 
 
-class WeightError(FedRKError):
-    pass
-
-
 class TooManyClients(FedRKError, ValueError):
     pass
 

@@ -1,4 +1,4 @@
-"""Classic randomized Kaczmarz runs and their decay diagnostics."""
+"""Dense linear systems and the randomized Kaczmarz kernels that run on them."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -13,16 +13,11 @@ from .core import (
     row_norms_sq,
     sample_rows,
 )
-from .errors import AllRowsZero, DimensionMismatch, WeightError, ZeroRow
+from .errors import AllRowsZero, DimensionMismatch, ZeroRow
 
 __all__ = [
     "LinearSystem",
-    "DecayFit",
     "rk_iterate",
-    "rk_run",
-    "contraction_factor",
-    "decay_functional",
-    "fit_decay_rate",
 ]
 
 
@@ -167,123 +162,11 @@ def rk_iterate(system, x, *, iters, scheme, rng):
     run of at least 32 steps on a block with no more rows than steps or
     columns goes to the dual kernel, whose Gram matrix is then no larger
     than the block and paid for by the run; it agrees with the sequential
-    kernel of :func:`rk_run` to rounding. Every other run is that
-    sequential kernel.
+    kernel, one projection per sampled row, to rounding. Every other run is
+    that sequential kernel.
     """
     setup = system.kaczmarz_setup(scheme)
     indices = _sampled_rows(setup, iters, rng)
     if iters >= _CHUNK and len(setup[0]) <= min(iters, x.size):
         return _rk_dual(system, x, indices)
     return _rk_sequential(setup, x, indices)
-
-
-def rk_run(system, x0, iters, scheme, rng, x_ref=None):
-    """Run ``iters`` randomized Kaczmarz steps on ``system`` from ``x0``.
-
-    Rows are drawn i.i.d. under ``scheme`` from ``rng``. Returns the final
-    iterate and the array of ``||x_k - x_ref||`` for k = 0..iters, or of
-    the residual norms when no reference is given.
-    """
-    x = _as_point(system, x0, "x0").copy()
-    iters = int(iters)
-    if iters < 0:
-        raise ValueError("iters must be non-negative")
-    if x_ref is not None:
-        x_ref = _as_point(system, x_ref, "x_ref")
-
-    setup = system.kaczmarz_setup(scheme)
-    indices = _sampled_rows(setup, iters, rng)
-
-    def current_value(point):
-        if x_ref is not None:
-            return float(np.linalg.norm(point - x_ref))
-        return system.residual_norm(point)
-
-    values = [current_value(x)]
-    for k in range(iters):
-        _rk_sequential(setup, x, indices[k:k + 1])
-        values.append(current_value(x))
-    return x, np.array(values)
-
-
-def contraction_factor(A, scheme):
-    """Largest eigenvalue of sum_s p(s) (I - a_s a_s^T) over normalized rows.
-
-    Governs the expected squared-error decay of one RK step. Computed
-    exactly, by one symmetric eigensolve.
-    """
-    A = as_matrix(A, name="A")
-    row_sq = row_norms_sq(A)
-    probs = scheme.probabilities(row_sq)
-    if np.any(row_sq == 0.0):
-        raise ZeroRow("contraction factor needs every row to have positive norm")
-    unit = A / np.sqrt(row_sq)[:, None]
-    # Q = I - U^T diag(p) U, symmetric PSD with spectrum in [0, 1]
-    Q = np.eye(A.shape[1]) - (unit * probs[:, None]).T @ unit
-    return min(max(float(np.linalg.eigvalsh(Q)[-1]), 0.0), 1.0)
-
-
-def decay_functional(normals, p, y):
-    """Average squared norm left after projecting ``y`` off random normals.
-
-    Returns sum_s p(s) ||(I - n_s n_s^T / ||n_s||^2) y||^2, the quantity
-    whose maximum over unit ``y`` is the contraction factor.
-    """
-    y = as_vector(y, name="y")
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size != len(normals):
-        raise WeightError("p must assign one weight per normal")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise WeightError("p must be non-negative and sum to 1")
-    total = 0.0
-    y_sq = float(np.dot(y, y))
-    for weight, normal in zip(p, normals):
-        n_vec = as_vector(normal, name="normal")
-        if n_vec.size != y.size:
-            raise DimensionMismatch("normal dimension mismatch")
-        n_sq = float(np.dot(n_vec, n_vec))
-        if n_sq <= 1e-24:
-            raise ZeroRow("decay functional given a zero normal")
-        total += float(weight) * (float(np.dot(n_vec, y)) ** 2) / n_sq
-    return max(y_sq - total, 0.0)
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Geometric decay rate fitted to a trace, with the fit's R^2."""
-
-    rate: float
-    r_squared: float
-    degenerate: bool = False
-
-
-def fit_decay_rate(values):
-    """Least-squares fit of log(error) vs. step, exponentiated.
-
-    ``values`` holds one finite, non-negative error per step from step 0.
-    Errors at exact zero mean the run has converged past floating point;
-    that reports rate 0 with the degenerate flag rather than failing.
-    Entries below 1e-14 times the initial error are rounding noise and are
-    dropped before fitting.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values) & (values >= 0.0)):
-        raise ValueError("decay values must be finite and non-negative")
-    steps = np.arange(values.size, dtype=np.float64)
-    if np.any(values == 0.0):
-        return DecayFit(rate=0.0, r_squared=1.0, degenerate=True)
-    if values.size:
-        mask = values >= 1e-14 * values[0]
-        values, steps = values[mask], steps[mask]
-    if values.size < 3:
-        raise ValueError("need at least 3 positive error values to fit a rate")
-    logs = np.log(values)
-    slope, intercept = np.polyfit(steps, logs, 1)
-    fitted = slope * steps + intercept
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    if ss_tot <= 1e-30:
-        r_sq = 1.0 if ss_res <= 1e-30 else 0.0
-    else:
-        r_sq = 1.0 - ss_res / ss_tot
-    return DecayFit(rate=float(np.exp(slope)), r_squared=r_sq)

@@ -1,4 +1,5 @@
-"""Helpers the tests share, chiefly for starting in-process TCP runs.
+"""Helpers the tests share, chiefly for starting in-process TCP runs and
+writing matrix fixture files.
 
 ``run_client`` retries a refused connection until its timeout
 (``transport._connect``), and so does :func:`connect`. So clients and
@@ -7,10 +8,12 @@ sleeps while a server thread starts.
 """
 
 import socket
+import struct
 import threading
 
 import numpy as np
 
+from fedrk.core import _DMAT_MAGIC, as_matrix, format_csv
 from fedrk.errors import RoundError
 from fedrk.solver import LinearSystem
 from fedrk.transport import (
@@ -32,6 +35,19 @@ def gaussian_consistent(m, n, seed):
     A = g.standard_normal((m, n))
     x_star = g.standard_normal(n)
     return LinearSystem(A, A @ x_star), x_star
+
+
+def save_matrix_csv(path, matrix):
+    with open(path, "w") as fh:
+        fh.write(format_csv(as_matrix(matrix)))
+
+
+def save_dmat(path, matrix):
+    m = as_matrix(matrix)
+    rows, cols = m.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", _DMAT_MAGIC, rows, cols))
+        fh.write(m.astype("<f8", copy=False).tobytes())
 
 
 def free_port():

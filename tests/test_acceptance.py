@@ -16,7 +16,6 @@ from fedrk.core import (
     SamplingScheme,
     derive_seed,
     hard_threshold,
-    rk_step,
     row_norms_sq,
     sample_rows,
 )
@@ -37,10 +36,17 @@ from fedrk.federation import (
     fed_round,
     fed_run,
 )
-from fedrk.solver import LinearSystem, contraction_factor, fit_decay_rate
+from fedrk.solver import LinearSystem
 from fedrk.transport import Endpoint, decode, encode, run_server
 from harness import run_socket
-from oracles import expected_update, project_onto_solution_set, rounds_to_threshold
+from oracles import (
+    contraction_factor,
+    expected_update,
+    fit_decay_rate,
+    project_onto_solution_set,
+    rk_step,
+    rounds_to_threshold,
+)
 
 UNIFORM = SamplingScheme.uniform()
 SQNORM = SamplingScheme.squared_row_norm()

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from fedrk.cli import main
-from fedrk.core import save_dmat, save_matrix_csv, save_vector_csv
+from fedrk.core import save_vector_csv
 from harness import (
     free_port,
     join_first_broadcast,
     oversized_broadcast_frames,
+    save_dmat,
+    save_matrix_csv,
     serve_in_thread,
     serve_raw_frames,
 )

@@ -22,15 +22,14 @@ from fedrk.core import (
     load_dmat,
     load_matrix_csv,
     load_vector,
-    rk_step,
     row_norms_sq,
     sample_rows,
-    save_dmat,
-    save_matrix_csv,
     save_vector_csv,
     seed_sequence_words,
 )
 from fedrk.errors import AllRowsZero, DimensionMismatch, ZeroRow
+from harness import save_dmat, save_matrix_csv
+from oracles import rk_step
 
 FINITE = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -57,6 +56,12 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         as_matrix([[1.0], [np.nan]])
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in (0, 5, 11):  # the first, a middle and the last entry
+            m = np.arange(12.0).reshape(3, 4)
+            m.flat[index] = bad
+            with pytest.raises(ValueError, match="M contains non-finite entries"):
+                as_matrix(m, name="M")
 
 
 def test_matrix_rows_are_views():

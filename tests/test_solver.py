@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 import fedrk.solver as solver
-from fedrk.core import RngStream, SamplingScheme, rk_step, row_norms_sq
-from fedrk.errors import DimensionMismatch, WeightError, ZeroRow
+from fedrk.core import RngStream, SamplingScheme, row_norms_sq
+from fedrk.errors import DimensionMismatch, ZeroRow
 from fedrk.federation import build_server_system
-from fedrk.solver import (
-    LinearSystem,
+from fedrk.solver import LinearSystem, rk_iterate
+from harness import gaussian_consistent
+from oracles import (
+    WeightError,
     contraction_factor,
     decay_functional,
     fit_decay_rate,
-    rk_iterate,
     rk_run,
+    rk_step,
 )
-from harness import gaussian_consistent
 
 UNIFORM = SamplingScheme.uniform()
 SQNORM = SamplingScheme.squared_row_norm()
