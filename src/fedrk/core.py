@@ -108,8 +108,8 @@ class RngStream:
 def derive_seed(master_seed, *ids):
     """Derive a 64-bit seed from a master seed and integer/string ids.
 
-    A (round, client) pair's seed is the one its remote client seeds its
-    local stream with, so clients need no shared RNG state.
+    ``RoundStreams.derive`` seeds a (round, client) pair's local stream
+    with it; a remote client receives that stream's Philox key instead.
     """
     seq = np.random.SeedSequence(int(master_seed), spawn_key=_spawn_key(ids))
     return int(seq.generate_state(1, np.uint64)[0])

@@ -260,7 +260,6 @@ class StreamTable:
         self._local_keys = _philox_keys(seed_sequence_words([lo, hi], 4)).reshape(
             count, cfg.participants, 2
         )
-        self._seeds = (lo.astype(np.uint64) | hi.astype(np.uint64) << 32).reshape(count, -1)
         self._start, self._stop = start, stop
 
     def _row(self, t):
@@ -283,10 +282,11 @@ class StreamTable:
             local_stream=local_stream,
         )
 
-    def stream_seeds(self, t):
-        """``{cid: derive_seed(master_seed, t, cid)}`` for round ``t``'s participants."""
+    def stream_keys(self, t):
+        """``{cid: (k0, k1)}``: the Philox key of each of round ``t``'s
+        participants' local streams, the key :meth:`round` gives it."""
         i = self._row(t)
-        return dict(zip(self._ids[i], self._seeds[i].tolist()))
+        return dict(zip(self._ids[i], map(tuple, self._local_keys[i].tolist())))
 
 
 def sample_clients(clients, participants, rng):

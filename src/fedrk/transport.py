@@ -1,12 +1,13 @@
 """Message codec and the two interchangeable transports.
 
-Frame layout (little-endian): magic ``FK``, version byte (1), message-type
-byte, u32 payload length, payload. Floats are IEEE-754 binary64. A payload
-is its fixed fields, one struct per message that encode, decode and the
-frame bounds share, and then its floats:
+Frame layout (little-endian): magic ``FK``, version byte (``VERSION``, 2),
+message-type byte, u32 payload length, payload. Floats are IEEE-754
+binary64. A payload is its fixed fields, one struct per message that
+encode, decode and the frame bounds share, and then its floats:
 
 - AssignPartition: ``_ASSIGN`` (client id, rows, cols, scheme code), A row by row, b;
-- Broadcast: ``_BROADCAST`` (round, n), x, ``_BROADCAST_TAIL`` (local_iters, seed);
+- Broadcast: ``_BROADCAST`` (round, n), x, ``_BROADCAST_TAIL`` (local_iters
+  u32, the local stream's Philox key as two u64 words);
 - Delta: ``_DELTA`` (round, client id, n), the delta;
 - Shutdown: empty.
 
@@ -17,7 +18,9 @@ in one process or across processes.
 Clients introduce themselves after connecting with an empty Delta frame
 (zero-length payload array) carrying their client id; the server answers
 with that client's AssignPartition, which also names the run's local
-sampling scheme. Only participants of a round receive its Broadcast.
+sampling scheme. Only participants of a round receive its Broadcast. A key
+alone fixes everything Philox draws, so a client re-keys one generator per
+Broadcast and never seeds one.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import RngStream, SamplingScheme
+from .core import SamplingScheme
 from .errors import (
     BadMagic,
     BadType,
@@ -44,6 +47,7 @@ from .errors import (
 from .federation import (
     StreamTable,
     _client_failure,
+    _KeyedStream,
     apply_server_round,
     client_blocks,
     client_local_update,
@@ -69,7 +73,7 @@ __all__ = [
 ]
 
 MAGIC = b"FK"
-VERSION = 1
+VERSION = 2
 
 MSG_ASSIGN = 1
 MSG_BROADCAST = 2
@@ -80,7 +84,7 @@ _HEADER = struct.Struct("<2sBBI")
 # each payload's fixed fields, as the module docstring lists them
 _ASSIGN = struct.Struct("<IIII")
 _BROADCAST = struct.Struct("<II")
-_BROADCAST_TAIL = struct.Struct("<IQ")
+_BROADCAST_TAIL = struct.Struct("<IQQ")
 _DELTA = struct.Struct("<III")
 # the local schemes an AssignPartition can carry, by their u32 wire code
 _SCHEMES = (SamplingScheme.squared_row_norm(), SamplingScheme.uniform())
@@ -113,12 +117,13 @@ class AssignPartition(_Message):
 
 @dataclass(frozen=True, eq=False)
 class Broadcast(_Message):
-    """Server -> client: the round's global iterate plus the local stream seed."""
+    """Server -> client: the round's global iterate plus the local stream's
+    Philox key, two u64 words."""
 
     round_index: int
     x: np.ndarray
     local_iters: int
-    stream_seed: int
+    stream_key: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +171,7 @@ def _payload(msg):
         return MSG_BROADCAST, (
             _BROADCAST.pack(msg.round_index, x.size)
             + _f64_bytes(x)
-            + _BROADCAST_TAIL.pack(msg.local_iters, msg.stream_seed)
+            + _BROADCAST_TAIL.pack(msg.local_iters, *msg.stream_key)
         )
     if isinstance(msg, Delta):
         delta = np.asarray(msg.delta, dtype=np.float64)
@@ -236,8 +241,8 @@ def decode(data):
     if msg_type == MSG_BROADCAST:
         round_index, n = head
         x = _floats(buf, _BROADCAST, n, _BROADCAST_TAIL.size)
-        tail = _BROADCAST_TAIL.unpack_from(buf, len(buf) - _BROADCAST_TAIL.size)
-        return Broadcast(round_index, x, *tail)
+        iters, *key = _BROADCAST_TAIL.unpack_from(buf, len(buf) - _BROADCAST_TAIL.size)
+        return Broadcast(round_index, x, iters, tuple(key))
     client_id, rows, cols, code = head
     if code >= len(_SCHEMES):  # the code is _ASSIGN's last u32
         raise CodecError(f"unknown local scheme code {code}", _HEADER.size + _ASSIGN.size - 4)
@@ -284,6 +289,7 @@ class ClientSession:
         self.scheme = scheme
         self.block = None
         self.done = False
+        self._stream = _KeyedStream()  # re-keyed by each Broadcast
 
     def handle(self, msg):
         """Process one server message, returning reply messages. A message
@@ -320,7 +326,7 @@ class ClientSession:
                 raise RoundError(
                     f"client {self.client_id} has no partition", client_id=self.client_id
                 )
-            rng = RngStream(msg.stream_seed)
+            rng = self._stream.rekey(msg.stream_key)
             try:
                 with np.errstate(over="ignore"):  # overflow shows only as NumericalError
                     delta = client_local_update(
@@ -530,9 +536,9 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     def step(t, x):
         streams = table.round(t)
         participants = sample_clients(config.clients, config.participants, streams.select)
-        seeds = table.stream_seeds(t)
+        keys = table.stream_keys(t)
         for cid in participants:
-            conns[cid].send(Broadcast(t, x, config.local_iters, seeds[cid]))
+            conns[cid].send(Broadcast(t, x, config.local_iters, keys[cid]))
         deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
         x_next, kept = apply_server_round(deltas, x, config, streams.server)
         return x_next, participants, len(deltas) - len(kept)

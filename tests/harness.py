@@ -17,6 +17,7 @@ from fedrk.core import _DMAT_MAGIC, as_matrix, format_csv
 from fedrk.errors import RoundError
 from fedrk.solver import LinearSystem
 from fedrk.transport import (
+    VERSION,
     AssignPartition,
     Broadcast,
     Delta,
@@ -153,4 +154,4 @@ def oversized_broadcast_frames(declared):
     """A valid AssignPartition of a 2x3 block, then a Broadcast header that
     declares ``declared`` payload bytes and sends none of them."""
     assign = encode(AssignPartition(0, np.ones((2, 3)), np.arange(1.0, 3.0)))
-    return [assign, b"FK" + bytes([1, 2]) + declared.to_bytes(4, "little")]
+    return [assign, b"FK" + bytes([VERSION, 2]) + declared.to_bytes(4, "little")]

@@ -303,7 +303,7 @@ def test_client_oversized_frame_is_runtime_error(capsys):
     code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
     server.join(timeout=30)
     assert code == 3
-    assert "frame declares 4294967295 payload bytes, at most 44 expected" in capsys.readouterr().err
+    assert "frame declares 4294967295 payload bytes, at most 52 expected" in capsys.readouterr().err
 
 
 def test_client_exits_at_once_on_a_peer_that_is_not_fedrk(capsys):
@@ -316,6 +316,21 @@ def test_client_exits_at_once_on_a_peer_that_is_not_fedrk(capsys):
     assert code == 3
     assert elapsed < 1.0
     assert "bad magic b'HT'" in capsys.readouterr().err
+
+
+def test_client_refuses_a_version_1_peer_before_payload(capsys):
+    from fedrk.transport import AssignPartition, encode
+
+    # a version-1 AssignPartition header; its payload is never sent
+    header = encode(AssignPartition(0, np.ones((2, 3)), np.ones(2)))[:8]
+    port, server = serve_raw_frames([header[:2] + bytes([1]) + header[3:]], 10.0)
+    start = time.monotonic()
+    code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
+    elapsed = time.monotonic() - start
+    server.join(timeout=30)
+    assert code == 3
+    assert elapsed < 1.0
+    assert "error: unsupported version 1 (offset 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -334,7 +349,7 @@ def test_client_invalid_peer_message_is_runtime_error(kind, message, capsys):
         A = np.zeros((0, 3))
     frames = [encode(AssignPartition(0, A, np.ones(A.shape[0])))]
     if kind == "nan_broadcast":
-        frames.append(encode(Broadcast(0, np.array([1.0, np.nan, 0.0]), 2, 7)))
+        frames.append(encode(Broadcast(0, np.array([1.0, np.nan, 0.0]), 2, (7, 0))))
     port, server = serve_raw_frames(frames, 10.0)
     code = main(["client", "--port", str(port), "--id", "0", "--timeout", "10"])
     server.join(timeout=30)

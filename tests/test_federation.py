@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedrk.core import RngStream, SamplingScheme
+from fedrk.core import RngStream, SamplingScheme, derive_seed
 from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients, ZeroRow
 from fedrk.federation import (
     CHUNK_ROUNDS,
@@ -608,12 +608,15 @@ def test_stream_table_equals_numpy_seed_sequence(master_seed):
         streams = table.round(t)
         assert _key(streams.select) == _numpy_key(master_seed, (t, TAG_SELECT))
         assert _key(streams.server) == _numpy_key(master_seed, (t, TAG_SERVER))
-        seeds = table.stream_seeds(t)
-        assert list(seeds) == sample_clients(16, 5, RngStream(master_seed, (t, TAG_SELECT)))
-        for cid, seed in seeds.items():
+        keys = table.stream_keys(t)
+        assert list(keys) == sample_clients(16, 5, RngStream(master_seed, (t, TAG_SELECT)))
+        for cid, key in keys.items():
             seq = np.random.SeedSequence(master_seed, spawn_key=(t, cid))
+            seed = derive_seed(master_seed, t, cid)
             assert seed == int(seq.generate_state(1, np.uint64)[0])
-            assert _key(streams.local_stream(cid)) == _numpy_key(seed)
+            philox = np.random.Philox(np.random.SeedSequence(seed))
+            assert list(key) == philox.state["state"]["key"].tolist()
+            assert _key(streams.local_stream(cid)) == list(key)
 
 
 def test_stream_table_generators_draw_what_fresh_streams_draw():
@@ -622,7 +625,7 @@ def test_stream_table_generators_draw_what_fresh_streams_draw():
     for draw in (lambda g: g.random(7), lambda g: g.choice(16, 5, replace=False)):
         streams = table.round(2)
         fresh = RoundStreams.derive(cfg.master_seed, 2)
-        for cid in table.stream_seeds(2):
+        for cid in table.stream_keys(2):
             assert np.array_equal(draw(streams.local_stream(cid).generator),
                                   draw(fresh.local_stream(cid).generator))
         assert np.array_equal(draw(streams.select.generator), draw(fresh.select.generator))

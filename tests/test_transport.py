@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fedrk.core
 from fedrk.core import RngStream, SamplingScheme
 from fedrk.errors import (
     BadMagic,
@@ -20,8 +21,17 @@ from fedrk.errors import (
     RoundError,
     Truncated,
 )
-from fedrk.federation import RunConfig, client_local_update, fed_run
+from fedrk.federation import (
+    CHUNK_ROUNDS,
+    RoundStreams,
+    RunConfig,
+    StreamTable,
+    client_blocks,
+    client_local_update,
+    fed_run,
+)
 from fedrk.transport import (
+    VERSION,
     AssignPartition,
     Broadcast,
     ClientSession,
@@ -62,7 +72,7 @@ def random_message(g):
             int(g.integers(0, 2**32)),
             g.standard_normal(n),
             int(g.integers(0, 2**32)),
-            int(g.integers(0, 2**64, dtype=np.uint64)),
+            tuple(g.integers(0, 2**64, size=2, dtype=np.uint64).tolist()),
         )
     if kind == 2:
         n = int(g.integers(0, 9))
@@ -70,24 +80,29 @@ def random_message(g):
     return Shutdown()
 
 
+def stream_key(seed):
+    """The Philox key of ``RngStream(seed)``, as a Broadcast carries it."""
+    return tuple(RngStream(seed).generator.bit_generator.state["state"]["key"].tolist())
+
+
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------
 
 def test_shutdown_frame_bytes():
-    assert encode(Shutdown()) == bytes([0x46, 0x4B, 0x01, 0x04, 0x00, 0x00, 0x00, 0x00])
+    assert encode(Shutdown()) == bytes([0x46, 0x4B, 0x02, 0x04, 0x00, 0x00, 0x00, 0x00])
 
 
 def test_broadcast_payload_length():
-    frame = encode(Broadcast(0, np.array([1.0]), 1, 0))
-    assert len(frame) - 8 == 28  # 4 + 4 + 8 + 4 + 8
+    frame = encode(Broadcast(0, np.array([1.0]), 1, (0, 0)))
+    assert len(frame) - 8 == 36  # 4 + 4 + 8 + 4 + 8 + 8
 
 
 def test_round_trip_examples():
     msgs = [
         AssignPartition(3, np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])),
         AssignPartition(0, np.ones((1, 3)), np.zeros(1), SamplingScheme.uniform()),
-        Broadcast(7, np.array([-1.5, 2.5]), 20, 2**63 + 11),
+        Broadcast(7, np.array([-1.5, 2.5]), 20, (2**63 + 11, 2**64 - 1)),
         Delta(9, 4, np.array([0.0, -0.0, 3.25])),
         Delta(0, 1, np.zeros(0)),  # the hello frame
         Shutdown(),
@@ -150,17 +165,17 @@ def with_u32(frame, offset, value):
 
 
 def zero_payload_frame(msg_type, payload_len):
-    return b"FK\x01" + bytes([msg_type]) + struct.pack("<I", payload_len) + bytes(payload_len)
+    return b"FK" + bytes([VERSION, msg_type]) + struct.pack("<I", payload_len) + bytes(payload_len)
 
 
 DELTA_FRAME = encode(Delta(1, 2, np.array([1.0, 2.0])))  # 36 bytes; n at 16
-BROADCAST_FRAME = encode(Broadcast(0, np.array([1.0, 2.0]), 1, 0))  # 44 bytes; n at 12
+BROADCAST_FRAME = encode(Broadcast(0, np.array([1.0, 2.0]), 1, (0, 0)))  # 52 bytes; n at 12
 ASSIGN_FRAME = encode(AssignPartition(1, np.ones((2, 3)), np.ones(2)))  # 88 bytes; rows at 12
 
 
 @pytest.mark.parametrize("frame, offset", [
     (with_u32(DELTA_FRAME, 16, 3), 36),  # the payload ends where a third float would start
-    (with_u32(BROADCAST_FRAME, 12, 1), 36),  # the payload runs 8 bytes past its layout
+    (with_u32(BROADCAST_FRAME, 12, 1), 44),  # the payload runs 8 bytes past its layout
     (with_u32(ASSIGN_FRAME, 12, 3), 88),
     (with_u32(ASSIGN_FRAME, 16, 2), 72),
     # rows * (cols + 1) is about 2**64: no u32 product wraps to a size that fits
@@ -208,11 +223,11 @@ def test_encode_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
         encode(Delta(-1, 0, np.zeros(1)))
     with pytest.raises(ValueError):
-        encode(Broadcast(0, np.zeros(1), 2**32, 0))
+        encode(Broadcast(0, np.zeros(1), 2**32, (0, 0)))
     with pytest.raises(ValueError):
-        encode(Broadcast(0, np.zeros(1), 0, 2**64))
+        encode(Broadcast(0, np.zeros(1), 0, (0, 2**64)))
     with pytest.raises(ValueError):
-        encode(Broadcast(0, np.zeros(1), 2.5, 0))  # not truncated to 2
+        encode(Broadcast(0, np.zeros(1), 2.5, (0, 0)))  # not truncated to 2
     with pytest.raises(TypeError):
         encode("not a message")
 
@@ -234,12 +249,12 @@ def test_client_session_round():
     session = ClientSession(2)
     assert session.handle(AssignPartition(2, block.A, block.b)) == []
     x = np.zeros(3)
-    replies = session.handle(Broadcast(0, x, 5, 12345))
+    replies = session.handle(Broadcast(0, x, 5, stream_key(12345)))
     assert len(replies) == 1
     delta = replies[0]
     assert isinstance(delta, Delta)
     assert delta.round_index == 0 and delta.client_id == 2
-    # the delta reproduces client_local_update with the same stream seed
+    # the delta reproduces client_local_update on the stream with that key
     expected = client_local_update(
         block, x, 5, SamplingScheme.squared_row_norm(), RngStream(12345)
     )
@@ -248,12 +263,57 @@ def test_client_session_round():
     assert session.done
 
 
+def test_client_session_with_table_keys_matches_derived_local_stream():
+    # the key the server sends draws what fed_run's derived local stream draws
+    system, _ = gaussian_consistent(16, 5, 17)
+    cfg = RunConfig(
+        clients=4, participants=2, local_iters=7, global_iters=1,
+        rounds=CHUNK_ROUNDS + 2, master_seed=2**64 - 5,
+    )
+    table = StreamTable(cfg)
+    blocks = client_blocks(system, cfg.clients)
+    sessions = {cid: ClientSession(cid) for cid in range(cfg.clients)}
+    for cid, session in sessions.items():
+        session.handle(AssignPartition(cid, blocks[cid].A, blocks[cid].b))
+    x = np.arange(5.0)
+    for t in (0, 1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1):
+        derived = RoundStreams.derive(cfg.master_seed, t)
+        for cid, key in table.stream_keys(t).items():
+            (reply,) = sessions[cid].handle(Broadcast(t, x, cfg.local_iters, key))
+            expected = client_local_update(
+                blocks[cid], x, cfg.local_iters, cfg.local_scheme, derived.local_stream(cid)
+            )
+            assert np.array_equal(reply.delta, expected)
+
+
+def test_client_session_builds_no_generator_per_broadcast(monkeypatch):
+    # a Broadcast re-keys the session's one generator: it seeds nothing
+    block, _ = gaussian_consistent(4, 3, 1)
+    session = ClientSession(0)
+    session.handle(AssignPartition(0, block.A, block.b))
+    keys = [stream_key(seed) for seed in (5, 6)]
+    expected = [
+        client_local_update(block, np.ones(3), 4, SamplingScheme.squared_row_norm(), RngStream(seed))
+        for seed in (5, 6)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Broadcast built a random generator")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setattr(fedrk.core, "RngStream", refuse)
+    for t, key in enumerate(keys):
+        (reply,) = session.handle(Broadcast(t, np.ones(3), 4, key))
+        assert np.array_equal(reply.delta, expected[t])
+
+
 def test_client_session_takes_scheme_from_server():
     block, _ = gaussian_consistent(4, 3, 5)
     uniform = SamplingScheme.uniform()
     session = ClientSession(0)
     session.handle(AssignPartition(0, block.A, block.b, uniform))
-    delta = session.handle(Broadcast(0, np.zeros(3), 6, 99))[0].delta
+    delta = session.handle(Broadcast(0, np.zeros(3), 6, stream_key(99)))[0].delta
     expected = client_local_update(block, np.zeros(3), 6, uniform, RngStream(99))
     assert np.array_equal(delta, expected)
 
@@ -273,7 +333,7 @@ def test_client_session_rejects_misrouted_partition():
 def test_client_session_requires_partition_before_broadcast():
     session = ClientSession(0)
     with pytest.raises(RoundError):
-        session.handle(Broadcast(0, np.zeros(2), 1, 0))
+        session.handle(Broadcast(0, np.zeros(2), 1, stream_key(0)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -282,7 +342,7 @@ def test_client_session_replies_to_an_iterate_whose_squared_norm_overflows():
     # iterate once the deltas are in
     session = ClientSession(0)
     session.handle(AssignPartition(0, np.ones((2, 3)), np.ones(2)))
-    (reply,) = session.handle(Broadcast(0, 1e200 * np.ones(3), 4, 7))
+    (reply,) = session.handle(Broadcast(0, 1e200 * np.ones(3), 4, stream_key(7)))
     assert isinstance(reply, Delta)
     assert (reply.round_index, reply.client_id) == (0, 0)
     assert np.isfinite(reply.delta).all()
@@ -292,7 +352,7 @@ def test_client_session_invalid_broadcast_names_client_and_round():
     session = ClientSession(2)
     session.handle(AssignPartition(2, np.ones((2, 3)), np.ones(2)))
     with pytest.raises(RoundError) as err:
-        session.handle(Broadcast(4, np.array([np.nan, 1.0, 1.0]), 3, 1))
+        session.handle(Broadcast(4, np.array([np.nan, 1.0, 1.0]), 3, stream_key(1)))
     assert (err.value.client_id, err.value.round_index) == (2, 5)
     assert str(err.value) == (
         "round 5: client 2 got an invalid Broadcast: x_global contains non-finite entries"
@@ -305,7 +365,7 @@ def test_client_session_failed_local_run_names_client_and_round():
     A = np.array([[1.0, 1.0], [0.0, 0.0]])
     session.handle(AssignPartition(3, A, np.array([2.0, 0.0]), SamplingScheme.uniform()))
     with pytest.raises(RoundError) as err:
-        session.handle(Broadcast(4, np.ones(2), 50, 1))
+        session.handle(Broadcast(4, np.ones(2), 50, stream_key(1)))
     assert type(err.value) is RoundError
     assert (err.value.client_id, err.value.round_index) == (3, 5)
     assert str(err.value) == "round 5: client 3 failed: sampled row 1 is numerically zero"
@@ -320,7 +380,7 @@ def test_client_session_non_finite_dual_run_replies_without_warning():
     A[1, 1] = 1e-3
     session = ClientSession(1)
     session.handle(AssignPartition(1, A, np.array([3e307, -3e307])))
-    (reply,) = session.handle(Broadcast(0, np.zeros(40), 40, 7))
+    (reply,) = session.handle(Broadcast(0, np.zeros(40), 40, stream_key(7)))
     assert not np.isfinite(reply.delta).all()
 
 
@@ -377,6 +437,19 @@ def test_socket_matches_loopback():
     x_sock, trace_sock = run_socket(system, cfg, x_ref=x_star)
     assert np.array_equal(x_loop, x_sock)
     assert trace_loop.csv_text() == trace_sock.csv_text()
+
+
+def test_socket_matches_fed_run_across_chunk_boundary():
+    # the server's stream table refills at round CHUNK_ROUNDS
+    system, _ = gaussian_consistent(16, 5, 19)
+    cfg = RunConfig(
+        clients=4, participants=2, local_iters=3, global_iters=3,
+        rounds=CHUNK_ROUNDS + 6, master_seed=91,
+    )
+    x_direct, trace_direct = fed_run(system, cfg, np.zeros(5))
+    x_sock, trace_sock = run_socket(system, cfg)
+    assert np.array_equal(x_direct, x_sock)
+    assert trace_direct.csv_text() == trace_sock.csv_text()
 
 
 def test_client_started_before_server_waits_for_it():
@@ -528,7 +601,7 @@ def test_socket_oversized_delta_frame_rejected_before_payload():
     sock = join_first_broadcast(port)
     start = time.monotonic()
     # a Delta header declaring 0xFFFFFFFF payload bytes, and no payload
-    sock.sendall(b"FK" + bytes([1, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
+    sock.sendall(b"FK" + bytes([VERSION, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
     err = finish()
     elapsed = time.monotonic() - start
     sock.close()
@@ -544,7 +617,7 @@ def test_socket_oversized_hello_rejected_before_payload():
     port, finish = serve_one_client(system, timeout)
     sock = connect(port)
     start = time.monotonic()
-    sock.sendall(b"FK" + bytes([1, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
+    sock.sendall(b"FK" + bytes([VERSION, 3]) + (0xFFFFFFFF).to_bytes(4, "little"))
     err = finish()
     elapsed = time.monotonic() - start
     sock.close()
@@ -553,8 +626,25 @@ def test_socket_oversized_hello_rejected_before_payload():
     assert elapsed < timeout / 4
 
 
-# a Broadcast for 3 columns is 20 + 8 * 3 = 44 payload bytes
-@pytest.mark.parametrize("declared", [0xFFFFFFFF, 45])
+def test_socket_version_1_hello_refused_before_payload():
+    system, _ = gaussian_consistent(6, 2, 16)
+    timeout = 10.0
+    port, finish = serve_one_client(system, timeout)
+    sock = connect(port)
+    start = time.monotonic()
+    # a version-1 hello header declaring its 12 payload bytes, and no payload
+    sock.sendall(b"FK" + bytes([1, 3]) + (12).to_bytes(4, "little"))
+    err = finish()
+    elapsed = time.monotonic() - start
+    sock.close()
+    assert isinstance(err, RoundError)
+    assert isinstance(err.__cause__, BadVersion)
+    assert err.__cause__.offset == 2
+    assert elapsed < timeout / 4
+
+
+# a Broadcast for 3 columns is 28 + 8 * 3 = 52 payload bytes
+@pytest.mark.parametrize("declared", [0xFFFFFFFF, 53])
 def test_client_rejects_oversized_broadcast_frame_before_payload(declared):
     timeout = 10.0
     port, server = serve_raw_frames(oversized_broadcast_frames(declared), timeout)
@@ -569,7 +659,7 @@ def test_client_rejects_oversized_broadcast_frame_before_payload(declared):
 def test_declared_length_alone_allocates_little():
     # a header declaring 64 MiB, then end-of-stream: each recv asks for at most 1 MiB
     reader, writer = socket.socketpair()
-    writer.sendall(b"FK" + bytes([1, 2]) + (64 << 20).to_bytes(4, "little"))
+    writer.sendall(b"FK" + bytes([VERSION, 2]) + (64 << 20).to_bytes(4, "little"))
     writer.close()
     tracemalloc.start()
     try:
