@@ -226,10 +226,10 @@ class StreamTable:
     draws. A fill computes its rounds' select and server keys in one
     vectorised pass, draws each round's participants (selection does not
     depend on the iterate), then derives local keys for the selected
-    (round, client) pairs only. Streams come from pooled generators: one for
-    select, one for server and one per participant slot, re-keyed for each
-    round, so a round's streams are valid until the next call of
-    :meth:`round`.
+    (round, client) pairs only. Streams come from three pooled generators,
+    one per role, re-keyed on request: a round's select and server streams
+    stay valid until the next call of :meth:`round` or :meth:`stream_keys`,
+    and a local stream until the next ``local_stream`` call.
     """
 
     def __init__(self, config):
@@ -237,8 +237,7 @@ class StreamTable:
         seed = config.master_seed
         # the master seed's words, padded to four as numpy pads them before a spawn key
         self._seed_words = [seed & 0xFFFF_FFFF, seed >> 32, 0, 0]
-        self._select, self._server = _KeyedStream(), _KeyedStream()
-        self._slots = [_KeyedStream() for _ in range(config.participants)]
+        self._select, self._server, self._local = _KeyedStream(), _KeyedStream(), _KeyedStream()
         self._start = self._stop = 0
 
     def _fill(self, start):
@@ -262,30 +261,22 @@ class StreamTable:
         )
         self._start, self._stop = start, stop
 
-    def _row(self, t):
-        if not self._start <= t < self._stop:
-            self._fill(t)
-        return t - self._start
-
     def round(self, t):
         """Round ``t``'s streams, re-keying the pooled generators."""
-        i = self._row(t)
-        slots = dict(zip(self._ids[i], zip(self._slots, self._local_keys[i])))
-
-        def local_stream(cid):
-            slot, key = slots[cid]
-            return slot.rekey(key)
-
+        keys = self.stream_keys(t)  # fills the chunk that holds round t
+        i = t - self._start
         return RoundStreams(
             select=self._select.rekey(self._select_keys[i]),
             server=self._server.rekey(self._server_keys[i]),
-            local_stream=local_stream,
+            local_stream=lambda cid: self._local.rekey(keys[cid]),
         )
 
     def stream_keys(self, t):
         """``{cid: (k0, k1)}``: the Philox key of each of round ``t``'s
         participants' local streams, the key :meth:`round` gives it."""
-        i = self._row(t)
+        if not self._start <= t < self._stop:
+            self._fill(t)
+        i = t - self._start
         return dict(zip(self._ids[i], map(tuple, self._local_keys[i].tolist())))
 
 

@@ -29,6 +29,7 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -253,11 +254,9 @@ def decode(data):
 
 @dataclass(frozen=True)
 class Endpoint:
-    """Where a run lives: in-process loopback or a TCP address."""
+    """Where a run lives: a TCP address, or in process when ``host`` is None."""
 
-    role: str
-    transport: str
-    host: str = "127.0.0.1"
+    host: Optional[str] = "127.0.0.1"
     port: int = 0
 
     def __post_init__(self):
@@ -266,15 +265,13 @@ class Endpoint:
 
     @classmethod
     def loopback(cls):
-        return cls(role="server", transport="loopback")
+        return cls(host=None)
 
     @classmethod
     def server(cls, host="127.0.0.1", port=0):
-        return cls(role="server", transport="socket", host=host, port=port)
+        return cls(host=host, port=port)
 
-    @classmethod
-    def client(cls, host="127.0.0.1", port=0):
-        return cls(role="client", transport="socket", host=host, port=port)
+    client = server
 
 
 class ClientSession:
@@ -347,24 +344,22 @@ class ClientSession:
 
 
 class _LoopbackConnection:
-    """In-process client that still round-trips every message through bytes."""
+    """In-process client that still round-trips every message through bytes.
+    Only a Broadcast gets a reply, and run_server reads it before the next
+    Broadcast, so one reply at most is pending."""
 
     def __init__(self, client_id):
         self.client_id = client_id
         self._session = ClientSession(client_id)
-        self._inbox = []
+        self._reply = None
 
     def send(self, msg):
-        delivered = decode(encode(msg))
-        for reply in self._session.handle(delivered):
-            self._inbox.append(decode(encode(reply)))
+        for reply in self._session.handle(decode(encode(msg))):
+            self._reply = decode(encode(reply))
 
     def recv(self):
-        if not self._inbox:
-            raise RoundError(
-                f"client {self.client_id} sent no reply", client_id=self.client_id
-            )
-        return self._inbox.pop(0)
+        reply, self._reply = self._reply, None
+        return reply
 
     def close(self):
         pass
@@ -510,26 +505,23 @@ def _recv_delta(conn, round_index, cols):
 
 
 def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
-    """Drive a full federated run over the endpoint's transport.
+    """Drive a full federated run, in process over the loopback codec when
+    ``endpoint.host`` is None, else over TCP at the endpoint's address.
 
     Returns ``(x_final, FedTrace)``. Only the round step is the transport's
     own (broadcast, collect deltas); the loop, server half and trace are
     :func:`fed_run`'s, so for equal master seeds the trace is bit-identical
     across loopback, sockets and :func:`fed_run`.
     """
-    if endpoint.role != "server":
-        raise ValueError("run_server needs a server endpoint")
     _check_timeout(timeout)
     blocks = client_blocks(system, config.clients)
     x0 = np.zeros(system.cols) if x0 is None else x0
     trace, on_round = trace_writer(system, config, x_ref)
 
-    if endpoint.transport == "loopback":
+    if endpoint.host is None:
         conns = {cid: _LoopbackConnection(cid) for cid in range(config.clients)}
-    elif endpoint.transport == "socket":
-        conns = _accept_clients(endpoint, config.clients, system.cols, timeout)
     else:
-        raise ValueError(f"unknown transport {endpoint.transport!r}")
+        conns = _accept_clients(endpoint, config.clients, system.cols, timeout)
 
     table = StreamTable(config)
 
@@ -551,7 +543,7 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
         for conn in conns.values():
             try:
                 conn.send(Shutdown())
-            except (RoundError, OSError):
+            except RoundError:
                 pass
             conn.close()
     return x, trace
@@ -586,7 +578,7 @@ def run_client(endpoint, client_id, scheme=None, timeout=30.0):
     ``timeout`` that is not positive, or a ``client_id`` that is not a u32,
     is a ValueError before any socket opens.
     """
-    if endpoint.transport != "socket":
+    if endpoint.host is None:
         raise ValueError("run_client only applies to the socket transport")
     _check_timeout(timeout)
     if not 0 <= client_id < 2**32:

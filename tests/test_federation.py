@@ -632,6 +632,26 @@ def test_stream_table_generators_draw_what_fresh_streams_draw():
         assert np.array_equal(draw(streams.server.generator), draw(fresh.server.generator))
 
 
+def test_stream_table_pools_one_generator_per_role():
+    cfg = config(clients=16, participants=5, rounds=CHUNK_ROUNDS + 1, master_seed=3)
+    table = StreamTable(cfg)
+    for t in (0, 1, CHUNK_ROUNDS):
+        streams = table.round(t)
+        fresh = RoundStreams.derive(cfg.master_seed, t)
+        local_streams = []
+        for cid in table.stream_keys(t):
+            local = streams.local_stream(cid)
+            assert np.array_equal(local.generator.random(3),
+                                  fresh.local_stream(cid).generator.random(3))
+            local_streams.append(local)
+        # the select and server streams outlive every local request of their round
+        assert np.array_equal(streams.select.generator.random(3), fresh.select.generator.random(3))
+        assert np.array_equal(streams.server.generator.random(3), fresh.server.generator.random(3))
+        assert all(local is local_streams[0] for local in local_streams)
+        roles = (local_streams[0], streams.select, streams.server)
+        assert len({id(stream) for stream in roles}) == 3
+
+
 def _derived_run(system, cfg, x0):
     """A run whose every round takes its streams from RoundStreams.derive."""
     blocks = client_blocks(system, cfg.clients)

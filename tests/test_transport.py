@@ -702,8 +702,6 @@ def test_run_client_rejects_loopback_endpoint():
         run_client(Endpoint.loopback(), 0)
 
 
-def test_run_server_rejects_client_endpoint():
-    system, _ = gaussian_consistent(4, 2, 8)
-    cfg = RunConfig(clients=1, participants=1, local_iters=1, global_iters=1, rounds=1)
-    with pytest.raises(ValueError):
-        run_server(Endpoint.client("127.0.0.1", 1), system, cfg)
+def test_client_and_server_endpoints_are_one_address():
+    assert Endpoint.client("127.0.0.1", 7) == Endpoint.server("127.0.0.1", 7)
+    assert Endpoint.loopback().host is None
