@@ -16,13 +16,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (
-    RngStream,
     SamplingScheme,
-    derive_seed,
     format_csv,
     hard_threshold,
     row_norms_sq,
-    seed_sequence_words,
 )
 from .errors import (
     AllRowsZero,
@@ -37,12 +34,12 @@ from .solver import LinearSystem, _as_point, gram_matrix, rk_iterate
 __all__ = [
     "TAG_SELECT",
     "TAG_SERVER",
-    "CHUNK_ROUNDS",
     "RunConfig",
     "ServerRoundSystem",
     "FedTrace",
     "RoundStreams",
-    "StreamTable",
+    "StreamPool",
+    "stream_key",
     "client_blocks",
     "sample_clients",
     "round_tol",
@@ -174,32 +171,32 @@ class FedTrace:
             fh.write(self.csv_text())
 
 
+def stream_key(master_seed, round_index, role):
+    """Round ``round_index``'s Philox key for ``role``: a client id,
+    ``TAG_SELECT`` or ``TAG_SERVER``. Philox is counter-based, so distinct
+    keys give independent streams; RunConfig's bounds (seed below 2**64,
+    round below 2**32, client ids below the tags) keep every key distinct."""
+    return master_seed, round_index << 32 | role
+
+
 @dataclass
 class RoundStreams:
     """The three independent randomness sources one round consumes."""
 
-    select: RngStream
-    server: RngStream
-    local_stream: Callable[[int], RngStream]
+    select: object
+    server: object
+    local_stream: Callable[[int], object]
 
     @classmethod
     def derive(cls, master_seed, round_index):
-        """Canonical per-round derivation, shared by every round step."""
-        return cls(
-            select=RngStream(master_seed, (round_index, TAG_SELECT)),
-            server=RngStream(master_seed, (round_index, TAG_SERVER)),
-            local_stream=lambda cid: RngStream(derive_seed(master_seed, round_index, cid)),
-        )
-
-
-# rounds whose streams one fill of a StreamTable derives together
-CHUNK_ROUNDS = 64
+        """Round ``round_index``'s streams, from a fresh :class:`StreamPool`."""
+        return StreamPool(master_seed).round(round_index)
 
 
 class _KeyedStream:
     """A pooled Philox generator, re-keyed in place. A key alone fixes
-    everything Philox draws, so once keyed it draws what a fresh RngStream
-    with that key draws."""
+    everything Philox draws, so once keyed it draws what a fresh
+    ``Generator(Philox(key=key))`` draws."""
 
     def __init__(self):
         self.generator = np.random.Generator(np.random.Philox(0))
@@ -211,73 +208,23 @@ class _KeyedStream:
         return self
 
 
-def _philox_keys(words):
-    """Philox keys, rows of two uint64, from four uint32 word arrays as
-    Philox reads ``generate_state(2, np.uint64)``."""
-    w = [word.astype(np.uint64) for word in words]
-    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
+class StreamPool:
+    """Every round's :class:`RoundStreams` for one master seed: three pooled
+    generators, one per role, re-keyed by :func:`stream_key`. A round's
+    select and server streams stay valid until the next :meth:`round` call,
+    a local stream until the next ``local_stream`` call."""
 
-
-class StreamTable:
-    """Every round's :class:`RoundStreams` for one run, derived
-    ``CHUNK_ROUNDS`` rounds at a time.
-
-    Round ``t`` draws exactly what ``RoundStreams.derive(master_seed, t)``
-    draws. A fill computes its rounds' select and server keys in one
-    vectorised pass, draws each round's participants (selection does not
-    depend on the iterate), then derives local keys for the selected
-    (round, client) pairs only. Streams come from three pooled generators,
-    one per role, re-keyed on request: a round's select and server streams
-    stay valid until the next call of :meth:`round` or :meth:`stream_keys`,
-    and a local stream until the next ``local_stream`` call.
-    """
-
-    def __init__(self, config):
-        self._config = config
-        seed = config.master_seed
-        # the master seed's words, padded to four as numpy pads them before a spawn key
-        self._seed_words = [seed & 0xFFFF_FFFF, seed >> 32, 0, 0]
+    def __init__(self, master_seed):
+        self._seed = master_seed
         self._select, self._server, self._local = _KeyedStream(), _KeyedStream(), _KeyedStream()
-        self._start = self._stop = 0
-
-    def _fill(self, start):
-        cfg = self._config
-        stop = min(start + CHUNK_ROUNDS, cfg.rounds)
-        count = stop - start
-        rounds = np.arange(start, stop, dtype=np.uint32)
-        tags = np.repeat(np.array([TAG_SELECT, TAG_SERVER], dtype=np.uint32), count)
-        keys = _philox_keys(seed_sequence_words(self._seed_words + [np.tile(rounds, 2), tags], 4))
-        self._select_keys, self._server_keys = keys[:count], keys[count:]
-        self._ids = [
-            sample_clients(cfg.clients, cfg.participants, self._select.rekey(key))
-            for key in self._select_keys
-        ]
-        pair_rounds = np.repeat(rounds, cfg.participants)
-        pair_ids = np.array(self._ids, dtype=np.uint32).ravel()
-        lo, hi = seed_sequence_words(self._seed_words + [pair_rounds, pair_ids], 2)
-        # RngStream(seed) hashes the seed's words alone; [lo] and [lo, 0] give one pool
-        self._local_keys = _philox_keys(seed_sequence_words([lo, hi], 4)).reshape(
-            count, cfg.participants, 2
-        )
-        self._start, self._stop = start, stop
 
     def round(self, t):
         """Round ``t``'s streams, re-keying the pooled generators."""
-        keys = self.stream_keys(t)  # fills the chunk that holds round t
-        i = t - self._start
         return RoundStreams(
-            select=self._select.rekey(self._select_keys[i]),
-            server=self._server.rekey(self._server_keys[i]),
-            local_stream=lambda cid: self._local.rekey(keys[cid]),
+            select=self._select.rekey(stream_key(self._seed, t, TAG_SELECT)),
+            server=self._server.rekey(stream_key(self._seed, t, TAG_SERVER)),
+            local_stream=lambda cid: self._local.rekey(stream_key(self._seed, t, cid)),
         )
-
-    def stream_keys(self, t):
-        """``{cid: (k0, k1)}``: the Philox key of each of round ``t``'s
-        participants' local streams, the key :meth:`round` gives it."""
-        if not self._start <= t < self._stop:
-            self._fill(t)
-        i = t - self._start
-        return dict(zip(self._ids[i], map(tuple, self._local_keys[i].tolist())))
 
 
 def sample_clients(clients, participants, rng):
@@ -431,10 +378,10 @@ def run_rounds(system, config, x0, on_round, step=None):
     x = _as_point(system, x0, "x0").copy()
     if step is None:
         blocks = client_blocks(system, config.clients)
-        table = StreamTable(config)
+        pool = StreamPool(config.master_seed)
 
         def step(t, x):
-            return fed_round(blocks, x, config, table.round(t))
+            return fed_round(blocks, x, config, pool.round(t))
 
     t = 0  # the round being run, numbered as its trace row
     with np.errstate(over="ignore"):

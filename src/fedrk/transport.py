@@ -18,9 +18,10 @@ in one process or across processes.
 Clients introduce themselves after connecting with an empty Delta frame
 (zero-length payload array) carrying their client id; the server answers
 with that client's AssignPartition, which also names the run's local
-sampling scheme. Only participants of a round receive its Broadcast. A key
-alone fixes everything Philox draws, so a client re-keys one generator per
-Broadcast and never seeds one.
+sampling scheme. Only participants of a round receive its Broadcast, which
+carries their local stream's Philox key ``stream_key(master_seed, round,
+client id)``. A key alone fixes everything Philox draws, so a client re-keys
+one generator per Broadcast and never seeds one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     Truncated,
 )
 from .federation import (
-    StreamTable,
+    StreamPool,
     _client_failure,
     _KeyedStream,
     apply_server_round,
@@ -54,6 +55,7 @@ from .federation import (
     client_local_update,
     run_rounds,
     sample_clients,
+    stream_key,
     trace_writer,
 )
 from .solver import LinearSystem
@@ -119,7 +121,8 @@ class AssignPartition(_Message):
 @dataclass(frozen=True, eq=False)
 class Broadcast(_Message):
     """Server -> client: the round's global iterate plus the local stream's
-    Philox key, two u64 words."""
+    Philox key, two u64 words: the master seed, then the round index in the
+    high and the client id in the low 32 bits (``federation.stream_key``)."""
 
     round_index: int
     x: np.ndarray
@@ -523,14 +526,14 @@ def run_server(endpoint, system, config, x0=None, x_ref=None, timeout=30.0):
     else:
         conns = _accept_clients(endpoint, config.clients, system.cols, timeout)
 
-    table = StreamTable(config)
+    seed = config.master_seed
+    pool = StreamPool(seed)
 
     def step(t, x):
-        streams = table.round(t)
+        streams = pool.round(t)
         participants = sample_clients(config.clients, config.participants, streams.select)
-        keys = table.stream_keys(t)
         for cid in participants:
-            conns[cid].send(Broadcast(t, x, config.local_iters, keys[cid]))
+            conns[cid].send(Broadcast(t, x, config.local_iters, stream_key(seed, t, cid)))
         deltas = [(cid, _recv_delta(conns[cid], t, x.size)) for cid in participants]
         x_next, kept = apply_server_round(deltas, x, config, streams.server)
         return x_next, participants, len(deltas) - len(kept)

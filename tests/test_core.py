@@ -25,7 +25,6 @@ from fedrk.core import (
     row_norms_sq,
     sample_rows,
     save_vector_csv,
-    seed_sequence_words,
 )
 from fedrk.errors import AllRowsZero, DimensionMismatch, ZeroRow
 from harness import save_dmat, save_matrix_csv
@@ -231,6 +230,11 @@ def test_sampling_errors():
         SamplingScheme("custom").probabilities(row_norms_sq(zeros))
 
 
+def test_unknown_sampling_scheme_is_refused_when_built():
+    with pytest.raises(ValueError, match="unknown sampling scheme kind 'foo'"):
+        SamplingScheme("foo")
+
+
 def test_sampler_determinism():
     m = as_matrix(np.arange(8.0).reshape(4, 2) + 1.0)
     cdf = SamplingScheme.squared_row_norm().cdf(row_norms_sq(m))
@@ -290,17 +294,6 @@ def test_derive_seed_stable_and_distinct():
     x = RngStream(derive_seed(42, 3, 7)).generator.random(8)
     y = RngStream(derive_seed(42, 3, 7)).generator.random(8)
     assert np.array_equal(x, y)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
-def test_seed_sequence_words_one_word_seed_equals_numpy(seed):
-    # with no spawn key numpy hashes [seed] and [seed, 0] into one pool, so
-    # a seed below 2**32 may always be given as two words
-    assert np.array_equal(
-        np.random.SeedSequence(seed).pool, np.random.SeedSequence([seed, 0]).pool
-    )
-    words = seed_sequence_words([np.array([seed], np.uint32), np.zeros(1, np.uint32)], 4)
-    assert [int(w[0]) for w in words] == np.random.SeedSequence(seed).generate_state(4).tolist()
 
 
 # ---------------------------------------------------------------------------

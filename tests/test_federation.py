@@ -1,19 +1,19 @@
 """Tests for round orchestration: partitioning, local updates, server solve."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedrk.core import RngStream, SamplingScheme, derive_seed
+from fedrk.core import RngStream, SamplingScheme
 from fedrk.errors import DimensionMismatch, NumericalError, RoundError, TooManyClients, ZeroRow
 from fedrk.federation import (
-    CHUNK_ROUNDS,
     TAG_SELECT,
     TAG_SERVER,
     RoundStreams,
     RunConfig,
-    StreamTable,
+    StreamPool,
     apply_server_round,
     build_server_system,
     client_blocks,
@@ -22,10 +22,11 @@ from fedrk.federation import (
     fed_run,
     run_rounds,
     sample_clients,
+    stream_key,
     trace_writer,
 )
 from fedrk.solver import LinearSystem
-from harness import gaussian_consistent
+from harness import gaussian_consistent, run_socket
 from oracles import project_onto_solution_set
 
 SQNORM = SamplingScheme.squared_row_norm()
@@ -587,59 +588,69 @@ def test_fed_run_with_sparsity_matches_thresholded_dynamics():
 
 
 # ---------------------------------------------------------------------------
-# stream table
+# streams
 # ---------------------------------------------------------------------------
 
-def _numpy_key(entropy, spawn_key=()):
-    """The Philox key numpy's own SeedSequence gives ``RngStream(entropy, spawn_key)``."""
-    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-    return seq.generate_state(2, np.uint64).tolist()
+def _philox(key):
+    """A fresh stream keyed by ``key``, built with numpy alone. The key goes
+    in as a uint64 array: numpy reads a tuple holding a word of 2**63 or
+    more as float64."""
+    key = np.array(key, dtype=np.uint64)
+    return SimpleNamespace(generator=np.random.Generator(np.random.Philox(key=key)))
 
 
 def _key(stream):
-    return stream.generator.bit_generator.state["state"]["key"].tolist()
+    return tuple(stream.generator.bit_generator.state["state"]["key"].tolist())
 
 
-@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-def test_stream_table_equals_numpy_seed_sequence(master_seed):
-    # one-word and two-word master seeds; the last round index u32 holds
-    table = StreamTable(config(clients=16, participants=5, rounds=2**32, master_seed=master_seed))
-    for t in (0, 1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, 2**32 - 1):
-        streams = table.round(t)
-        assert _key(streams.select) == _numpy_key(master_seed, (t, TAG_SELECT))
-        assert _key(streams.server) == _numpy_key(master_seed, (t, TAG_SERVER))
-        keys = table.stream_keys(t)
-        assert list(keys) == sample_clients(16, 5, RngStream(master_seed, (t, TAG_SELECT)))
-        for cid, key in keys.items():
-            seq = np.random.SeedSequence(master_seed, spawn_key=(t, cid))
-            seed = derive_seed(master_seed, t, cid)
-            assert seed == int(seq.generate_state(1, np.uint64)[0])
-            philox = np.random.Philox(np.random.SeedSequence(seed))
-            assert list(key) == philox.state["state"]["key"].tolist()
-            assert _key(streams.local_stream(cid)) == list(key)
+@pytest.mark.parametrize("draw", [lambda g: g.random(7), lambda g: g.choice(16, 5, replace=False)],
+                         ids=["random", "choice"])
+@pytest.mark.parametrize("t", [0, 2**32 - 1])
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+def test_stream_keys_at_the_edges_of_their_words(master_seed, t, draw):
+    # the lowest and highest seed, round, client id and both tags
+    streams = StreamPool(master_seed).round(t)
+    tagged = {TAG_SELECT: streams.select, TAG_SERVER: streams.server}
+    for role in (TAG_SELECT, TAG_SERVER, 0, TAG_SERVER - 1):
+        # a local stream stays valid until the next local request
+        stream = tagged[role] if role in tagged else streams.local_stream(role)
+        key = (master_seed, t << 32 | role)
+        assert stream_key(master_seed, t, role) == key
+        assert _key(stream) == key
+        assert np.array_equal(draw(stream.generator), draw(_philox(key).generator))
 
 
-def test_stream_table_generators_draw_what_fresh_streams_draw():
-    cfg = config(clients=16, participants=5, rounds=3, master_seed=2**64 - 1)
-    table = StreamTable(cfg)
-    for draw in (lambda g: g.random(7), lambda g: g.choice(16, 5, replace=False)):
-        streams = table.round(2)
-        fresh = RoundStreams.derive(cfg.master_seed, 2)
-        for cid in table.stream_keys(2):
-            assert np.array_equal(draw(streams.local_stream(cid).generator),
-                                  draw(fresh.local_stream(cid).generator))
-        assert np.array_equal(draw(streams.select.generator), draw(fresh.select.generator))
-        assert np.array_equal(draw(streams.server.generator), draw(fresh.server.generator))
+def test_stream_keys_differ_for_every_seed_round_and_role():
+    edges = [(seed, t, role) for seed in (0, 1, 2**64 - 1) for t in (0, 1, 2**32 - 1)
+             for role in (0, 1, TAG_SERVER - 1, TAG_SERVER, TAG_SELECT)]
+    assert len({stream_key(*ids) for ids in edges}) == len(edges)
 
 
-def test_stream_table_pools_one_generator_per_role():
-    cfg = config(clients=16, participants=5, rounds=CHUNK_ROUNDS + 1, master_seed=3)
-    table = StreamTable(cfg)
-    for t in (0, 1, CHUNK_ROUNDS):
-        streams = table.round(t)
-        fresh = RoundStreams.derive(cfg.master_seed, t)
+@pytest.mark.parametrize("neighbours", ["client ids", "rounds", "seeds"])
+def test_adjacent_keys_give_uncorrelated_first_draws(neighbours):
+    # 20 000 first draws of streams whose keys differ in one id by one
+    n, bins = 20_000, 20
+    pool = StreamPool(11)
+    stream = {
+        "client ids": lambda i: pool.round(5).local_stream(i),
+        "rounds": lambda i: pool.round(i).local_stream(3),
+        "seeds": lambda i: StreamPool(i).round(5).local_stream(3),
+    }[neighbours]
+    first = np.array([stream(i).generator.random() for i in range(n)])
+    counts = np.bincount((first * bins).astype(int), minlength=bins)
+    chi2 = float(((counts - n / bins) ** 2).sum() / (n / bins))
+    assert chi2 < 30.1  # the 95% point of chi-squared with 19 degrees of freedom
+    lag1 = np.corrcoef(first[:-1], first[1:])[0, 1]
+    assert abs(lag1) < 4 / np.sqrt(n)
+
+
+def test_stream_pool_holds_one_generator_per_role():
+    pool = StreamPool(3)
+    for t in (0, 1, 2):
+        streams = pool.round(t)
+        fresh = RoundStreams.derive(3, t)
         local_streams = []
-        for cid in table.stream_keys(t):
+        for cid in (0, 2, 5):
             local = streams.local_stream(cid)
             assert np.array_equal(local.generator.random(3),
                                   fresh.local_stream(cid).generator.random(3))
@@ -652,18 +663,29 @@ def test_stream_table_pools_one_generator_per_role():
         assert len({id(stream) for stream in roles}) == 3
 
 
-def _derived_run(system, cfg, x0):
-    """A run whose every round takes its streams from RoundStreams.derive."""
+def _reference_run(system, cfg, x0):
+    """A run whose every stream is a fresh Philox keyed by
+    ``(master_seed, t << 32 | role)``, written out with numpy alone."""
     blocks = client_blocks(system, cfg.clients)
     trace, on_round = trace_writer(system, cfg)
+    seed = cfg.master_seed
 
     def step(t, x):
-        return fed_round(blocks, x, cfg, RoundStreams.derive(cfg.master_seed, t))
+        streams = SimpleNamespace(
+            select=_philox((seed, t << 32 | TAG_SELECT)),
+            server=_philox((seed, t << 32 | TAG_SERVER)),
+            local_stream=lambda cid: _philox((seed, t << 32 | cid)),
+        )
+        return fed_round(blocks, x, cfg, streams)
 
     return run_rounds(system, cfg, x0, on_round, step), trace
 
 
-@pytest.mark.parametrize("clients, participants, master_seed, stop_mid_chunk", [
+def _run_socket(system, cfg, x0):
+    return run_socket(system, cfg, x0=x0)
+
+
+@pytest.mark.parametrize("clients, participants, master_seed, stop_early", [
     (4, 2, 5, False),
     (4, 2, 6, True),
     (4, 4, 7, False),
@@ -671,30 +693,48 @@ def _derived_run(system, cfg, x0):
     (1, 1, 9, False),
     (4, 2, 2**64 - 1, False),
 ])
-@pytest.mark.parametrize("run", [fed_run, _run_server_loopback], ids=["fed_run", "loopback"])
-def test_stream_table_keeps_the_bits_across_chunks_and_early_stops(
-    run, clients, participants, master_seed, stop_mid_chunk
+@pytest.mark.parametrize("run", [fed_run, _run_server_loopback, _run_socket],
+                         ids=["fed_run", "loopback", "tcp"])
+def test_runs_draw_from_philox_keyed_by_their_stream_ids(
+    run, clients, participants, master_seed, stop_early
 ):
     system, _ = gaussian_consistent(16, 6, 73)
     cfg = config(
         clients=clients, participants=participants, local_iters=3, global_iters=3,
-        rounds=2 * CHUNK_ROUNDS + 3, master_seed=master_seed,
+        rounds=70, master_seed=master_seed,
     )
     x0 = np.ones(6)
-    if stop_mid_chunk:
-        _, full = _derived_run(system, cfg, x0)
-        stop = CHUNK_ROUNDS + CHUNK_ROUNDS // 2
+    stop = 40
+    if stop_early:
+        _, full = _reference_run(system, cfg, x0)
         cfg = replace(cfg, residual_tol=full.residuals[stop])
-    expected_x, expected = _derived_run(system, cfg, x0)
+    expected_x, expected = _reference_run(system, cfg, x0)
     x, trace = run(system, cfg, x0)
     assert np.array_equal(x, expected_x)
     assert trace.csv_text() == expected.csv_text()
-    rounds_run = trace.rounds[-1]
-    if stop_mid_chunk:
-        assert trace.stopped_early and CHUNK_ROUNDS < rounds_run <= stop
-        assert rounds_run % CHUNK_ROUNDS != 0
+    if stop_early:
+        assert trace.stopped_early and trace.rounds[-1] <= stop
     else:
-        assert rounds_run == 2 * CHUNK_ROUNDS + 3
+        assert trace.rounds[-1] == 70
+
+
+@pytest.mark.parametrize("run", [fed_run, _run_server_loopback], ids=["fed_run", "loopback"])
+def test_each_round_draws_its_participants_once(run, monkeypatch):
+    import fedrk.federation as federation
+    import fedrk.transport as transport
+
+    calls = []
+    for module in (federation, transport):
+        def counted(*args, draw=module.sample_clients):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(module, "sample_clients", counted)
+    system, _ = gaussian_consistent(16, 6, 73)
+    cfg = config(clients=4, participants=2, local_iters=3, global_iters=3, rounds=70, master_seed=5)
+    _, trace = run(system, cfg, np.ones(6))
+    assert trace.rounds[-1] == 70
+    assert len(calls) == 70
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Golden traces: the exact output text of fixed runs, pinned by SHA-256.
 
 Any change to the bits a run produces fails here; a change meant to alter
-them records new digests and says why. Scope: the digests hold for one
-numpy/BLAS build (recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64);
-another build may round differently and then needs its own digests. The
-bits of runs on rk_iterate's dual kernel (here only the underdetermined
-run) also depend on the LAPACK ``gesv`` behind numpy's ``solve1`` gufunc
-(the one ``np.linalg.solve`` calls) in that build.
+them records new digests and says why; ``python tests/test_golden_traces.py``
+prints every case's current digest as ``name digest``, one per line. Scope:
+the digests hold for one numpy/BLAS build (recorded with numpy 2.4.6 and
+OpenBLAS 0.3.31 on x86-64); another build may round differently and then
+needs its own digests. The bits of runs on rk_iterate's dual kernel (here
+only the underdetermined run) also depend on the LAPACK ``gesv`` behind
+numpy's ``solve1`` gufunc (the one ``np.linalg.solve`` calls) in that build.
 """
 
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":  # run as a script, with fedrk not installed
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fedrk.core import RngStream, SamplingScheme, derive_seed
 from fedrk.experiments import (
@@ -179,43 +186,43 @@ def run_prostate(tmp_path):
 
 GOLDEN = {
     "fed_run_x_ref": (run_with_x_ref,
-        "a2a04c0ed286dbb9c0b379c72bc880ceeceb4a9b587092a45972fecd9d31b292",
+        "ddfd0fe10d49c3d6a09a410bada9d73c4e9fa993e66b0fa3d1868eab9dd06f5d",
     ),
     "fed_run_sparse_uniform": (run_sparse_uniform,
-        "28f97d29b5c2b5e340d7ffec14f54fffc9845e6422acaae49e5fa0583ff689f9",
+        "2b8fcbf994787b5a4b883ef83982f0ae5835a8adcfe710186cce9caa54c3cc51",
     ),
     "fed_run_residual_tol": (run_residual_tol,
-        "6a05aed819e3c8a044ac994a6f6e6a89953700f751fc74cb39e0ef13cfc4f756",
+        "67b0395674989d59531ce9ea2ea64e80c3722f7c1a8ed7b8ea0d624bd9352494",
     ),
     "run_server_loopback": (run_loopback,
-        "f1caa49084b390267a4068f03b5c72ab2afff2f88fc7cfcc9dfa3a16ae785a36",
+        "b72ece44c0f0f02664c4b744eac178392b6b4d1360e19104f61bcad530f56048",
     ),
     "fed_run_paper_shaped": (run_paper_shaped,
-        "fff2baca35c08216142fa5c02b212fec2b4236c0714bfbe356f6f7ecd1b9c489",
+        "a64c16a449f261ea1876ffd8e79de63b9eee7031d2ecb3ea900c78a92aa1ef4e",
     ),
     "run_server_loopback_wide": (run_loopback_wide,
-        "844dd253a3fedf4b067ec8c93c991118f91b1f990c9a4c17435d9ccaef270244",
+        "a89f4fe85511f39630711a8cd40fd4d1ace18a6bdaaa032b83375e06e1c41c52",
     ),
     "fed_round_shared_stream": (run_shared_stream_rounds,
         "37fedb256405b9462c7c0a62baee9955850b6d91acd3946d20af1403ae1a96e0",
     ),
     "fed_run_underdetermined_dual": (run_underdetermined,
-        "ad9283ad9542c9df47407848a126305ce7802f78b235ebd61a6d6f706c11e802",
+        "a36f3b892a69514fbd03ced0ec7c37c143fd01edb2088629e838cb79fa5dc90d",
     ),
 }
 
 GOLDEN_FILES = {
     "convergence": (run_convergence,
-        "d4f25dfde07198fa8a35c4ac36dad7fb2af3b6ab0021d9698cf5d2631e824ead",
+        "c430e42f866eb685a67a83b7331ccaa47ead6544878f068dcca6febbe2ce2a81",
     ),
     "lsq_horizons": (run_lsq,
-        "dc6e5af711a942683e8ae9f35aa42d634fecd894757a37572a1b0744c4dbec98",
+        "e46c29ce5317a5d6f816856d746b34b3bccfe10e0dfb05121cdcd4fbbe3d570c",
     ),
     "prostate_counts": (run_prostate,
-        "2cd65041bdf9f9d9f3e11ad094908df4f4ebbb1347cdf775f41d5a733fadb8dc",
+        "2127af26e2e5e9e1a8c365f461bbf4c27ed44f09f7edc1a971f99a3fbe4c98ed",
     ),
     "sparse_runner": (run_sparse,
-        "370ff652c40a8a616ffba221216224446ce653116577f59d1d053aa0d6cef843",
+        "d5dbdd9d1caf4170609ee274c575dd425d62a64e4af1b4495ae0b551171d8853",
     ),
 }
 
@@ -230,3 +237,11 @@ def test_golden_trace(name):
 def test_golden_runner_output(name, tmp_path):
     run, expected = GOLDEN_FILES[name]
     assert digest(run(tmp_path)) == expected
+
+
+if __name__ == "__main__":
+    for name, (run, _) in sorted(GOLDEN.items()):
+        print(name, digest(run()))
+    for name, (run, _) in sorted(GOLDEN_FILES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(name, digest(run(Path(tmp))))

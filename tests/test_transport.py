@@ -22,13 +22,12 @@ from fedrk.errors import (
     Truncated,
 )
 from fedrk.federation import (
-    CHUNK_ROUNDS,
     RoundStreams,
     RunConfig,
-    StreamTable,
     client_blocks,
     client_local_update,
     fed_run,
+    stream_key,
 )
 from fedrk.transport import (
     VERSION,
@@ -80,7 +79,7 @@ def random_message(g):
     return Shutdown()
 
 
-def stream_key(seed):
+def rng_stream_key(seed):
     """The Philox key of ``RngStream(seed)``, as a Broadcast carries it."""
     return tuple(RngStream(seed).generator.bit_generator.state["state"]["key"].tolist())
 
@@ -249,7 +248,7 @@ def test_client_session_round():
     session = ClientSession(2)
     assert session.handle(AssignPartition(2, block.A, block.b)) == []
     x = np.zeros(3)
-    replies = session.handle(Broadcast(0, x, 5, stream_key(12345)))
+    replies = session.handle(Broadcast(0, x, 5, rng_stream_key(12345)))
     assert len(replies) == 1
     delta = replies[0]
     assert isinstance(delta, Delta)
@@ -263,23 +262,23 @@ def test_client_session_round():
     assert session.done
 
 
-def test_client_session_with_table_keys_matches_derived_local_stream():
+def test_client_session_with_broadcast_keys_matches_derived_local_stream():
     # the key the server sends draws what fed_run's derived local stream draws
     system, _ = gaussian_consistent(16, 5, 17)
     cfg = RunConfig(
         clients=4, participants=2, local_iters=7, global_iters=1,
-        rounds=CHUNK_ROUNDS + 2, master_seed=2**64 - 5,
+        rounds=2**32, master_seed=2**64 - 5,
     )
-    table = StreamTable(cfg)
     blocks = client_blocks(system, cfg.clients)
     sessions = {cid: ClientSession(cid) for cid in range(cfg.clients)}
     for cid, session in sessions.items():
         session.handle(AssignPartition(cid, blocks[cid].A, blocks[cid].b))
     x = np.arange(5.0)
-    for t in (0, 1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1):
+    for t in (0, 1, 2**32 - 1):
         derived = RoundStreams.derive(cfg.master_seed, t)
-        for cid, key in table.stream_keys(t).items():
-            (reply,) = sessions[cid].handle(Broadcast(t, x, cfg.local_iters, key))
+        for cid, session in sessions.items():
+            key = stream_key(cfg.master_seed, t, cid)
+            (reply,) = session.handle(Broadcast(t, x, cfg.local_iters, key))
             expected = client_local_update(
                 blocks[cid], x, cfg.local_iters, cfg.local_scheme, derived.local_stream(cid)
             )
@@ -291,7 +290,7 @@ def test_client_session_builds_no_generator_per_broadcast(monkeypatch):
     block, _ = gaussian_consistent(4, 3, 1)
     session = ClientSession(0)
     session.handle(AssignPartition(0, block.A, block.b))
-    keys = [stream_key(seed) for seed in (5, 6)]
+    keys = [rng_stream_key(seed) for seed in (5, 6)]
     expected = [
         client_local_update(block, np.ones(3), 4, SamplingScheme.squared_row_norm(), RngStream(seed))
         for seed in (5, 6)
@@ -313,7 +312,7 @@ def test_client_session_takes_scheme_from_server():
     uniform = SamplingScheme.uniform()
     session = ClientSession(0)
     session.handle(AssignPartition(0, block.A, block.b, uniform))
-    delta = session.handle(Broadcast(0, np.zeros(3), 6, stream_key(99)))[0].delta
+    delta = session.handle(Broadcast(0, np.zeros(3), 6, rng_stream_key(99)))[0].delta
     expected = client_local_update(block, np.zeros(3), 6, uniform, RngStream(99))
     assert np.array_equal(delta, expected)
 
@@ -333,7 +332,7 @@ def test_client_session_rejects_misrouted_partition():
 def test_client_session_requires_partition_before_broadcast():
     session = ClientSession(0)
     with pytest.raises(RoundError):
-        session.handle(Broadcast(0, np.zeros(2), 1, stream_key(0)))
+        session.handle(Broadcast(0, np.zeros(2), 1, rng_stream_key(0)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -342,7 +341,7 @@ def test_client_session_replies_to_an_iterate_whose_squared_norm_overflows():
     # iterate once the deltas are in
     session = ClientSession(0)
     session.handle(AssignPartition(0, np.ones((2, 3)), np.ones(2)))
-    (reply,) = session.handle(Broadcast(0, 1e200 * np.ones(3), 4, stream_key(7)))
+    (reply,) = session.handle(Broadcast(0, 1e200 * np.ones(3), 4, rng_stream_key(7)))
     assert isinstance(reply, Delta)
     assert (reply.round_index, reply.client_id) == (0, 0)
     assert np.isfinite(reply.delta).all()
@@ -352,7 +351,7 @@ def test_client_session_invalid_broadcast_names_client_and_round():
     session = ClientSession(2)
     session.handle(AssignPartition(2, np.ones((2, 3)), np.ones(2)))
     with pytest.raises(RoundError) as err:
-        session.handle(Broadcast(4, np.array([np.nan, 1.0, 1.0]), 3, stream_key(1)))
+        session.handle(Broadcast(4, np.array([np.nan, 1.0, 1.0]), 3, rng_stream_key(1)))
     assert (err.value.client_id, err.value.round_index) == (2, 5)
     assert str(err.value) == (
         "round 5: client 2 got an invalid Broadcast: x_global contains non-finite entries"
@@ -365,7 +364,7 @@ def test_client_session_failed_local_run_names_client_and_round():
     A = np.array([[1.0, 1.0], [0.0, 0.0]])
     session.handle(AssignPartition(3, A, np.array([2.0, 0.0]), SamplingScheme.uniform()))
     with pytest.raises(RoundError) as err:
-        session.handle(Broadcast(4, np.ones(2), 50, stream_key(1)))
+        session.handle(Broadcast(4, np.ones(2), 50, rng_stream_key(1)))
     assert type(err.value) is RoundError
     assert (err.value.client_id, err.value.round_index) == (3, 5)
     assert str(err.value) == "round 5: client 3 failed: sampled row 1 is numerically zero"
@@ -380,7 +379,7 @@ def test_client_session_non_finite_dual_run_replies_without_warning():
     A[1, 1] = 1e-3
     session = ClientSession(1)
     session.handle(AssignPartition(1, A, np.array([3e307, -3e307])))
-    (reply,) = session.handle(Broadcast(0, np.zeros(40), 40, stream_key(7)))
+    (reply,) = session.handle(Broadcast(0, np.zeros(40), 40, rng_stream_key(7)))
     assert not np.isfinite(reply.delta).all()
 
 
@@ -439,12 +438,11 @@ def test_socket_matches_loopback():
     assert trace_loop.csv_text() == trace_sock.csv_text()
 
 
-def test_socket_matches_fed_run_across_chunk_boundary():
-    # the server's stream table refills at round CHUNK_ROUNDS
+def test_socket_matches_fed_run():
     system, _ = gaussian_consistent(16, 5, 19)
     cfg = RunConfig(
         clients=4, participants=2, local_iters=3, global_iters=3,
-        rounds=CHUNK_ROUNDS + 6, master_seed=91,
+        rounds=70, master_seed=91,
     )
     x_direct, trace_direct = fed_run(system, cfg, np.zeros(5))
     x_sock, trace_sock = run_socket(system, cfg)
